@@ -101,6 +101,7 @@
 #include "serve/workload.h"
 #include "tenancy/tenant.h"
 #include "tensor/cpu_features.h"
+#include "tensor/parallel.h"
 #include "tensor/quant.h"
 #include "tensor/rng.h"
 
@@ -1358,18 +1359,22 @@ int main(int argc, char** argv) {
         continue;
       }
 
-      // GEMM rate: quantize for this arm, time repeated dispatched calls.
+      // GEMM rate: quantize for this arm, time repeated dispatched calls
+      // inline on this thread — the way a replica dispatcher runs them.
       const QuantizedActs gxq = quantize_acts_per_row(gx);
       const QuantizedMatrix gwq = quantize_per_row(gw, arm);
       Tensor gc;
-      gemm_s8_nt(gxq, gwq, gc);  // warm: packs, faults, pool spin-up
       const int reps = quick ? 200 : 800;
-      const auto g0 = std::chrono::steady_clock::now();
-      for (int r = 0; r < reps; ++r) gemm_s8_nt(gxq, gwq, gc);
-      const double gsec =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        g0)
-              .count();
+      double gsec = 0;
+      {
+        const SerialRegion inline_like_a_dispatcher;
+        gemm_s8_nt(gxq, gwq, gc);  // warm: packs, faults
+        const auto g0 = std::chrono::steady_clock::now();
+        for (int r = 0; r < reps; ++r) gemm_s8_nt(gxq, gwq, gc);
+        gsec = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - g0)
+                   .count();
+      }
       const double gops = 2.0 * static_cast<double>(gm) * gk * gn * reps /
                           gsec / 1e9;
 

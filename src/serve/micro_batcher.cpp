@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "tensor/parallel.h"
+
 namespace ppgnn::serve {
 
 std::chrono::steady_clock::time_point effective_deadline(
@@ -489,6 +491,10 @@ std::vector<MicroBatcher::Pending> MicroBatcher::next_batch(
 }
 
 void MicroBatcher::dispatcher_loop() {
+  // Each replica's dispatcher is one unit of parallelism: its kernels run
+  // inline instead of fanning a micro-batch out over the shared pool,
+  // whose wake-up costs more than the forward it would split.
+  const SerialRegion serial;
   std::vector<std::int64_t> nodes;
   std::vector<Pending> expired;
   for (;;) {

@@ -3,13 +3,14 @@
 // deadline-aware shedding over envelope parts.
 //
 // One forward over b rows costs far less than b forwards over one row (the
-// GEMM amortizes weight traffic and the thread-pool fan-out), so the
-// classic serving trade applies: hold a request for up to max_delay hoping
-// peers arrive, dispatch early when max_batch_size fills.  A single
-// dispatcher thread owns the model; intra-batch parallelism comes from the
-// kernels' global thread pool (tensor/parallel), so results are
-// deterministic regardless of how requests interleave — test_serve proves
-// batched output is bit-identical to single-request inference.
+// GEMM amortizes weight traffic and per-call overhead), so the classic
+// serving trade applies: hold a request for up to max_delay hoping peers
+// arrive, dispatch early when max_batch_size fills.  A single dispatcher
+// thread owns the model and runs its kernels inline (a SerialRegion, see
+// tensor/parallel.h): replicas supply the parallelism, one dispatcher
+// each.  Results are deterministic regardless of how requests interleave
+// — test_serve proves batched output is bit-identical to single-request
+// inference.
 //
 // The unit of admission is an envelope PART: one (node, slot) of a
 // ServeRequest (serve_api.h).  A part carries a shared RequestState — one

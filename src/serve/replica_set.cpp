@@ -835,7 +835,7 @@ WindowStats FleetManager::window_stats() const {
   const auto m = std::atomic_load(&membership_);
   if (!m) return w;
   const auto now = cfg_.clock->now();
-  std::vector<double> samples;
+  LatencyHistogram latency;
   double delay_sum = 0;
   double span_seconds = 1.0;
   for (const auto& h : m->replicas) {
@@ -847,9 +847,7 @@ WindowStats FleetManager::window_stats() const {
     delay_sum += r.mean_queue_delay_us *
                  static_cast<double>(r.queue_delay_samples);
     w.queue_delay_samples += r.queue_delay_samples;
-    const auto replica_samples = h->stats->windowed_latency_samples(now);
-    samples.insert(samples.end(), replica_samples.begin(),
-                   replica_samples.end());
+    latency.merge(h->stats->windowed_latency(now));
     span_seconds =
         std::chrono::duration<double>(h->stats->window_span()).count();
   }
@@ -857,22 +855,7 @@ WindowStats FleetManager::window_stats() const {
     w.mean_queue_delay_us =
         delay_sum / static_cast<double>(w.queue_delay_samples);
   }
-  w.latency.count = samples.size();
-  if (!samples.empty()) {
-    double sum = 0, mx = 0;
-    for (const double v : samples) {
-      sum += v;
-      if (v > mx) mx = v;
-    }
-    w.latency.mean_us = sum / static_cast<double>(samples.size());
-    w.latency.max_us = mx;
-    w.latency.p50_us = percentile(samples, 50);
-    w.latency.p95_us = percentile(samples, 95);
-    w.latency.p99_us = percentile(samples, 99);
-    w.latency.wall_seconds = span_seconds;
-    w.latency.throughput_rps =
-        static_cast<double>(samples.size()) / std::max(span_seconds, 1e-6);
-  }
+  w.latency = latency.summary(span_seconds);
   return w;
 }
 

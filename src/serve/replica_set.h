@@ -263,8 +263,9 @@ class FleetManager {
 
   // Fleet-level stats over every generation ever admitted to the fleet
   // (retired replicas keep counting — a resize must not launder history):
-  // latency percentiles over the union of raw samples (merging summaries
-  // would be wrong), admission counters summed.
+  // latency percentiles over the merged histograms, i.e. the union of all
+  // latencies (merging summaries would be wrong), admission counters
+  // summed.
   LatencySummary aggregate_latency() const;
   AdmissionCounters aggregate_admission() const;
   // Per-stage means (admission wait / dispatch delay / compute, plus the

@@ -1,19 +1,101 @@
 #include "serve/server_stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
 namespace ppgnn::serve {
 
-double percentile(std::vector<double> sample, double p) {
-  if (sample.empty()) return 0.0;
-  std::sort(sample.begin(), sample.end());
-  const double rank = p / 100.0 * static_cast<double>(sample.size());
-  auto idx = static_cast<std::size_t>(std::ceil(rank));
-  if (idx > 0) --idx;  // nearest-rank is 1-based
-  if (idx >= sample.size()) idx = sample.size() - 1;
-  return sample[idx];
+std::size_t LatencyHistogram::bucket_of(double us) {
+  if (!(us >= 1.0)) return 0;  // sub-microsecond, negative and NaN
+  constexpr std::uint64_t kLast = (std::uint64_t{1} << kMaxOctave) - 1;
+  const std::uint64_t u = us >= static_cast<double>(kLast)
+                              ? kLast
+                              : static_cast<std::uint64_t>(us);
+  if (u < 2 * kSubBuckets) return static_cast<std::size_t>(u);
+  // u in [2^e, 2^(e+1)), e >= 8: keep its top 8 bits (128 sub-buckets),
+  // one run of 128 buckets per octave.
+  const auto shift = static_cast<unsigned>(std::bit_width(u)) - 8;
+  return shift * kSubBuckets + static_cast<std::size_t>(u >> shift);
+}
+
+double LatencyHistogram::bucket_lower(std::size_t bucket) {
+  if (bucket < 2 * kSubBuckets) return static_cast<double>(bucket);
+  const std::size_t shift = bucket / kSubBuckets - 1;
+  return static_cast<double>(
+      static_cast<std::uint64_t>(bucket % kSubBuckets + kSubBuckets)
+      << shift);
+}
+
+void LatencyHistogram::grow(std::size_t bucket) {
+  // Whole octaves, allocated exactly (reserve before resize), so the
+  // storage never exceeds kMaxBuckets counters.
+  const std::size_t n =
+      std::min(kMaxBuckets, (bucket / kSubBuckets + 1) * kSubBuckets);
+  counts_.reserve(n);
+  counts_.resize(n, 0);
+}
+
+void LatencyHistogram::record(double us) {
+  if (!(us >= 0.0)) us = 0.0;
+  const std::size_t b = bucket_of(us);
+  if (b >= counts_.size()) grow(b);
+  ++counts_[b];
+  if (count_ == 0 || us < min_) min_ = us;
+  if (count_ == 0 || us > max_) max_ = us;
+  ++count_;
+  sum_ += us;
+}
+
+void LatencyHistogram::merge(const LatencyHistogram& other) {
+  if (other.count_ == 0) return;
+  if (other.counts_.size() > counts_.size()) grow(other.counts_.size() - 1);
+  for (std::size_t b = 0; b < other.counts_.size(); ++b) {
+    counts_[b] += other.counts_[b];
+  }
+  min_ = count_ ? std::min(min_, other.min_) : other.min_;
+  max_ = count_ ? std::max(max_, other.max_) : other.max_;
+  count_ += other.count_;
+  sum_ += other.sum_;
+}
+
+void LatencyHistogram::clear() {
+  std::fill(counts_.begin(), counts_.end(), 0);
+  count_ = 0;
+  sum_ = min_ = max_ = 0;
+}
+
+double LatencyHistogram::percentile(double p) const {
+  if (count_ == 0) return 0.0;
+  // Nearest-rank is 1-based: rank ceil(p/100 * n), at least 1.
+  const double r = std::ceil(p / 100.0 * static_cast<double>(count_));
+  const std::uint64_t rank =
+      r < 1.0 ? 1 : std::min(count_, static_cast<std::uint64_t>(r));
+  if (rank == count_) return max_;
+  std::uint64_t seen = 0;
+  for (std::size_t b = 0; b < counts_.size(); ++b) {
+    seen += counts_[b];
+    if (seen >= rank) return std::clamp(bucket_lower(b), min_, max_);
+  }
+  return max_;
+}
+
+LatencySummary LatencyHistogram::summary(double wall_seconds) const {
+  LatencySummary s;
+  s.count = count_;
+  s.wall_seconds = wall_seconds;
+  if (count_ == 0) return s;
+  s.mean_us = mean();
+  s.max_us = max_;
+  s.p50_us = percentile(50);
+  s.p95_us = percentile(95);
+  s.p99_us = percentile(99);
+  // A single instantaneous completion has no measurable span; report the
+  // count over a conservative 1us floor instead of infinity.
+  s.throughput_rps =
+      static_cast<double>(count_) / std::max(wall_seconds, 1e-6);
+  return s;
 }
 
 std::string LatencySummary::to_json() const {
@@ -70,17 +152,22 @@ ServerStats::ServerStats(std::chrono::milliseconds window, const Clock* clock)
       window_ / kBuckets, std::chrono::milliseconds(1));
 }
 
-ServerStats::Bucket& ServerStats::current_bucket_locked(
-    std::chrono::steady_clock::time_point now) {
-  // Buckets are addressed by absolute bucket index mod kBuckets; any bucket
+std::size_t ServerStats::slot_of(
+    std::chrono::steady_clock::time_point now,
+    std::chrono::steady_clock::time_point* start) const {
+  // Buckets are addressed by absolute bucket index mod kBuckets; a bucket
   // whose recorded start doesn't match the slot's current period is stale
   // (the ring wrapped past it) and restarts from zero.
   const auto ticks = now.time_since_epoch() / bucket_len_;
-  const auto slot = static_cast<std::size_t>(
-      static_cast<std::uint64_t>(ticks) % kBuckets);
-  const auto start =
-      std::chrono::steady_clock::time_point(bucket_len_ * ticks);
-  Bucket& b = buckets_[slot];
+  *start = std::chrono::steady_clock::time_point(bucket_len_ * ticks);
+  return static_cast<std::size_t>(static_cast<std::uint64_t>(ticks) %
+                                  kBuckets);
+}
+
+ServerStats::Bucket& ServerStats::current_bucket_locked(
+    std::chrono::steady_clock::time_point now) {
+  std::chrono::steady_clock::time_point start;
+  Bucket& b = buckets_[slot_of(now, &start)];
   if (b.start != start) {
     b = Bucket{};
     b.start = start;
@@ -88,27 +175,33 @@ ServerStats::Bucket& ServerStats::current_bucket_locked(
   return b;
 }
 
-void ServerStats::prune_latency_window_locked(
-    std::chrono::steady_clock::time_point now) {
-  const auto horizon = now - window_;
-  while (!windowed_latencies_.empty() &&
-         windowed_latencies_.front().when < horizon) {
-    windowed_latencies_.pop_front();
+LatencyHistogram ServerStats::windowed_locked(
+    const TenantSlice& slice, std::chrono::steady_clock::time_point now) const {
+  LatencyHistogram h;
+  for (const WindowLatency& w : slice.window) {
+    if (in_window(w.start, now)) h.merge(w.latency);
   }
+  return h;
 }
 
 void ServerStats::record(double latency_us, std::uint32_t tenant) {
   const auto now = clock_->now();
+  std::chrono::steady_clock::time_point start;
+  const std::size_t slot = slot_of(now, &start);
   std::lock_guard<std::mutex> lk(mu_);
-  latencies_us_.push_back(latency_us);
-  tenants_[tenant].latencies_us.push_back(latency_us);
+  TenantSlice& t = tenants_[tenant];
+  t.latency.record(latency_us);
+  WindowLatency& w = t.window[slot];
+  if (w.start != start) {
+    w.latency.clear();
+    w.start = start;
+  }
+  w.latency.record(latency_us);
   if (!any_) {
     first_done_ = now;
     any_ = true;
   }
   last_done_ = now;
-  windowed_latencies_.push_back({now, latency_us, tenant});
-  prune_latency_window_locked(now);
 }
 
 void ServerStats::record_batch(std::size_t batch_size) {
@@ -202,33 +295,23 @@ std::size_t ServerStats::quota_refused_total() const {
 std::vector<TenantStat> ServerStats::tenant_stats(
     std::chrono::steady_clock::time_point now) const {
   std::vector<TenantStat> rows;
-  std::map<std::uint32_t, std::vector<double>> windowed;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto horizon = now - window_;
-    for (const WindowedSample& s : windowed_latencies_) {
-      if (s.when >= horizon) windowed[s.tenant].push_back(s.latency_us);
-    }
-    rows.reserve(tenants_.size());
-    for (const auto& [id, slice] : tenants_) {
-      TenantStat t;
-      t.tenant = id;
-      t.admitted = slice.admitted;
-      t.rejected = slice.rejected;
-      t.shed = slice.shed;
-      t.quota_refused = slice.quota_refused;
-      t.samples = slice.latencies_us.size();
-      t.p50_us = percentile(slice.latencies_us, 50);
-      t.p99_us = percentile(slice.latencies_us, 99);
-      rows.push_back(t);
-    }
-  }
-  for (TenantStat& t : rows) {
-    const auto it = windowed.find(t.tenant);
-    if (it == windowed.end()) continue;
-    t.win_samples = it->second.size();
-    t.win_p50_us = percentile(it->second, 50);
-    t.win_p99_us = percentile(it->second, 99);
+  std::lock_guard<std::mutex> lk(mu_);
+  rows.reserve(tenants_.size());
+  for (const auto& [id, slice] : tenants_) {
+    TenantStat t;
+    t.tenant = id;
+    t.admitted = slice.admitted;
+    t.rejected = slice.rejected;
+    t.shed = slice.shed;
+    t.quota_refused = slice.quota_refused;
+    t.samples = slice.latency.count();
+    t.p50_us = slice.latency.percentile(50);
+    t.p99_us = slice.latency.percentile(99);
+    const LatencyHistogram recent = windowed_locked(slice, now);
+    t.win_samples = recent.count();
+    t.win_p50_us = recent.percentile(50);
+    t.win_p99_us = recent.percentile(99);
+    rows.push_back(t);
   }
   return rows;
 }
@@ -236,15 +319,14 @@ std::vector<TenantStat> ServerStats::tenant_stats(
 WindowStats ServerStats::window(
     std::chrono::steady_clock::time_point now) const {
   WindowStats w;
-  std::vector<double> recent;
+  double delay_sum = 0;
+  LatencyHistogram recent;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    const auto horizon = now - window_;
-    double delay_sum = 0;
     for (const Bucket& b : buckets_) {
       // A bucket participates only if its period is inside the window; a
       // start of time_point{} (never written) sorts before any horizon.
-      if (b.start < horizon || b.start > now) continue;
+      if (!in_window(b.start, now)) continue;
       w.admission.admitted += b.admission.admitted;
       w.admission.rejected += b.admission.rejected;
       w.admission.shed += b.admission.shed;
@@ -252,99 +334,62 @@ WindowStats ServerStats::window(
       delay_sum += b.queue_delay_sum_us;
       w.queue_delay_samples += b.queue_delay_count;
     }
-    if (w.queue_delay_samples > 0) {
-      w.mean_queue_delay_us =
-          delay_sum / static_cast<double>(w.queue_delay_samples);
-    }
-    recent.reserve(windowed_latencies_.size());
-    for (const WindowedSample& s : windowed_latencies_) {
-      if (s.when >= horizon) recent.push_back(s.latency_us);
-    }
+    recent = windowed_all_locked(now);
   }
-  w.latency.count = recent.size();
-  if (!recent.empty()) {
-    double sum = 0, mx = 0;
-    for (const double v : recent) {
-      sum += v;
-      mx = std::max(mx, v);
-    }
-    w.latency.mean_us = sum / static_cast<double>(recent.size());
-    w.latency.max_us = mx;
-    w.latency.p50_us = percentile(recent, 50);
-    w.latency.p95_us = percentile(recent, 95);
-    w.latency.p99_us = percentile(recent, 99);
-    const double span = std::chrono::duration<double>(window_).count();
-    w.latency.wall_seconds = span;
-    w.latency.throughput_rps =
-        static_cast<double>(recent.size()) / std::max(span, 1e-6);
+  if (w.queue_delay_samples > 0) {
+    w.mean_queue_delay_us =
+        delay_sum / static_cast<double>(w.queue_delay_samples);
   }
+  w.latency = recent.summary(std::chrono::duration<double>(window_).count());
   return w;
 }
 
-std::vector<double> ServerStats::windowed_latency_samples(
+LatencyHistogram ServerStats::windowed_all_locked(
     std::chrono::steady_clock::time_point now) const {
-  std::vector<double> out;
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto horizon = now - window_;
-  out.reserve(windowed_latencies_.size());
-  for (const WindowedSample& s : windowed_latencies_) {
-    if (s.when >= horizon) out.push_back(s.latency_us);
+  LatencyHistogram h;
+  for (const auto& [id, slice] : tenants_) {
+    (void)id;
+    h.merge(windowed_locked(slice, now));
   }
-  return out;
+  return h;
+}
+
+LatencyHistogram ServerStats::windowed_latency(
+    std::chrono::steady_clock::time_point now) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return windowed_all_locked(now);
 }
 
 void ServerStats::merge(const ServerStats& other) {
-  // Copy the source under its own lock, then fold in under ours, so the two
-  // locks are never held together (no ordering to get wrong).
-  std::vector<double> samples;
-  std::size_t batches, batched_requests, misses, quota_refused;
-  AdmissionCounters adm;
-  StageGauges stages;
-  std::map<std::uint32_t, TenantSlice> tenants;
-  bool any;
-  std::chrono::steady_clock::time_point first, last;
-  {
-    std::lock_guard<std::mutex> lk(other.mu_);
-    samples = other.latencies_us_;
-    batches = other.batches_;
-    batched_requests = other.batched_requests_;
-    adm = other.admission_;
-    misses = other.deadline_missed_;
-    quota_refused = other.quota_refused_;
-    stages = other.stages_;
-    tenants = other.tenants_;
-    any = other.any_;
-    first = other.first_done_;
-    last = other.last_done_;
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  latencies_us_.insert(latencies_us_.end(), samples.begin(), samples.end());
-  batches_ += batches;
-  batched_requests_ += batched_requests;
-  admission_.admitted += adm.admitted;
-  admission_.rejected += adm.rejected;
-  admission_.shed += adm.shed;
-  deadline_missed_ += misses;
-  quota_refused_ += quota_refused;
-  for (const auto& [id, slice] : tenants) {
+  if (&other == this) return;
+  std::scoped_lock lk(mu_, other.mu_);  // std::lock's deadlock avoidance
+  batches_ += other.batches_;
+  batched_requests_ += other.batched_requests_;
+  admission_.admitted += other.admission_.admitted;
+  admission_.rejected += other.admission_.rejected;
+  admission_.shed += other.admission_.shed;
+  deadline_missed_ += other.deadline_missed_;
+  quota_refused_ += other.quota_refused_;
+  for (const auto& [id, slice] : other.tenants_) {
     TenantSlice& mine = tenants_[id];
     mine.admitted += slice.admitted;
     mine.rejected += slice.rejected;
     mine.shed += slice.shed;
     mine.quota_refused += slice.quota_refused;
-    mine.latencies_us.insert(mine.latencies_us.end(),
-                             slice.latencies_us.begin(),
-                             slice.latencies_us.end());
+    mine.latency.merge(slice.latency);
   }
-  stages_.admission_sum_us += stages.admission_sum_us;
-  stages_.dispatch_sum_us += stages.dispatch_sum_us;
-  stages_.compute_sum_us += stages.compute_sum_us;
-  stages_.dispatched += stages.dispatched;
-  stages_.shed_wait_sum_us += stages.shed_wait_sum_us;
-  stages_.shed_waits += stages.shed_waits;
-  if (any) {
-    if (!any_ || first < first_done_) first_done_ = first;
-    if (!any_ || last > last_done_) last_done_ = last;
+  const StageGauges& st = other.stages_;
+  stages_.admission_sum_us += st.admission_sum_us;
+  stages_.dispatch_sum_us += st.dispatch_sum_us;
+  stages_.compute_sum_us += st.compute_sum_us;
+  stages_.dispatched += st.dispatched;
+  stages_.shed_wait_sum_us += st.shed_wait_sum_us;
+  stages_.shed_waits += st.shed_waits;
+  if (other.any_) {
+    if (!any_ || other.first_done_ < first_done_) {
+      first_done_ = other.first_done_;
+    }
+    if (!any_ || other.last_done_ > last_done_) last_done_ = other.last_done_;
     any_ = true;
   }
 }
@@ -362,33 +407,18 @@ bool ServerStats::merge_once(const ServerStats& other,
 }
 
 LatencySummary ServerStats::summary() const {
-  std::vector<double> sample;
-  LatencySummary s;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    sample = latencies_us_;
-    if (any_) {
-      s.wall_seconds =
-          std::chrono::duration<double>(last_done_ - first_done_).count();
-    }
+  LatencyHistogram all;
+  double wall_seconds = 0;
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& [id, slice] : tenants_) {
+    (void)id;
+    all.merge(slice.latency);
   }
-  s.count = sample.size();
-  if (sample.empty()) return s;
-  double sum = 0, mx = 0;
-  for (const double v : sample) {
-    sum += v;
-    mx = std::max(mx, v);
+  if (any_) {
+    wall_seconds =
+        std::chrono::duration<double>(last_done_ - first_done_).count();
   }
-  s.mean_us = sum / static_cast<double>(sample.size());
-  s.max_us = mx;
-  s.p50_us = percentile(sample, 50);
-  s.p95_us = percentile(sample, 95);
-  s.p99_us = percentile(sample, 99);
-  // A single instantaneous completion has no measurable span; report the
-  // count over a conservative 1us floor instead of infinity.
-  const double span = std::max(s.wall_seconds, 1e-6);
-  s.throughput_rps = static_cast<double>(s.count) / span;
-  return s;
+  return all.summary(wall_seconds);
 }
 
 std::size_t ServerStats::batches() const {
@@ -405,7 +435,6 @@ double ServerStats::mean_batch_size() const {
 
 void ServerStats::reset() {
   std::lock_guard<std::mutex> lk(mu_);
-  latencies_us_.clear();
   batches_ = 0;
   batched_requests_ = 0;
   admission_ = AdmissionCounters{};
@@ -415,7 +444,6 @@ void ServerStats::reset() {
   tenants_.clear();
   any_ = false;
   buckets_ = {};
-  windowed_latencies_.clear();
   merged_generations_.clear();
 }
 

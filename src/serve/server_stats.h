@@ -13,33 +13,36 @@
 // every hard request — so ServerStats also counts the admission verdicts:
 // admitted, rejected at the door, and shed from the queue after admission.
 //
+// Latencies land in LatencyHistogram, a log-linear histogram of fixed
+// maximum size: a recorder's memory does not grow with the number of
+// requests it has seen, and merging two histograms is exact bucket
+// addition — the same result as recording both streams into one.
+//
 // Two aggregation regimes share this class:
 //
-//  * Cumulative — lifetime counters and the full latency sample, what the
+//  * Cumulative — lifetime counters and the latency histogram, what the
 //    bench tables report.  Each replica owns one ServerStats; merge() /
-//    merge_once() pool samples so fleet-level percentiles come from the
-//    union of raw latencies, not from averaging per-replica percentiles
+//    merge_once() add histograms so fleet-level percentiles come from the
+//    union of all latencies, not from averaging per-replica percentiles
 //    (which is wrong).  With *dynamic* membership (FleetManager), a
 //    retired replica's recorder outlives the replica and a same-slot
 //    successor records into a fresh one — so fleet aggregation is keyed by
 //    generation id: merge_once() folds a given generation exactly once per
 //    pooled recorder no matter how many membership lists mention it.
 //
-//  * Windowed — the autoscale signals.  Admission verdicts and queue-delay
-//    samples additionally land in a bucketed sliding window (16 buckets
-//    over a configurable span), and recent latency samples are kept
-//    timestamped, so window() reports the *recent* shed rate, mean queue
-//    delay and admitted-latency percentiles — what the AutoscalePolicy
-//    reacts to and serve_cli's per-window status line prints.  Bucketed
-//    counters cost O(1) per event regardless of rate; only the latency
-//    window keeps individual samples (percentiles need them).
+//  * Windowed — the autoscale signals.  Admission verdicts, queue-delay
+//    samples and latencies additionally land in a bucketed sliding window
+//    (16 buckets over a configurable span; each bucket's latencies are one
+//    histogram per tenant), so window() reports the *recent* shed rate,
+//    mean queue delay and admitted-latency percentiles — what the
+//    AutoscalePolicy reacts to and serve_cli's per-window status line
+//    prints.  Every event costs O(1) regardless of rate.
 #pragma once
 
 #include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -66,8 +69,61 @@ struct LatencySummary {
   std::string to_json() const;
 };
 
-// Percentile over an unsorted sample (nearest-rank), p in [0, 100].
-double percentile(std::vector<double> sample, double p);
+// Log-linear latency histogram (the HdrHistogram layout; relative-error
+// bound as in DDSketch, arXiv:1908.10693).  Values are microseconds:
+//
+//  * below 128 us, one bucket per integer microsecond (error < 1 us);
+//  * from 128 us up, 128 sub-buckets per power of two (so [128, 256) is
+//    still 1 us wide), so a bucket spans at most 1/128 of its lower edge
+//    and a reported percentile is within 0.8% of the exact one;
+//  * values past 2^32 us (~71 min) share the last bucket.
+//
+// The counters grow only to the highest bucket touched and never past
+// kMaxBuckets (26 KiB), however many values are recorded.  merge() adds
+// bucket counts, so merging A and B gives the same buckets, count, min,
+// max and percentiles as recording A ∪ B (the fp sum may differ in its
+// last bits).  Count, sum, min and max are kept exactly.
+class LatencyHistogram {
+ public:
+  static constexpr std::size_t kSubBuckets = 128;
+  static constexpr unsigned kMaxOctave = 32;  // 2^32 us clamps
+  static constexpr std::size_t kMaxBuckets =
+      (kMaxOctave - 6) * kSubBuckets;
+
+  void record(double us);
+  void merge(const LatencyHistogram& other);
+  // Zeroes every count but keeps the storage (window buckets recycle).
+  void clear();
+
+  std::uint64_t count() const { return count_; }
+  double min() const { return min_; }
+  double max() const { return max_; }
+  double mean() const {
+    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+  }
+  // Nearest-rank percentile, p in [0, 100]: the lower edge of the bucket
+  // holding that rank, clamped to [min, max] (so p=100 is the exact max).
+  double percentile(double p) const;
+  // count, p50/p95/p99, mean and max, with throughput over `wall_seconds`.
+  LatencySummary summary(double wall_seconds) const;
+  // Bytes held by the bucket counters.
+  std::size_t bytes() const {
+    return counts_.capacity() * sizeof(std::uint64_t);
+  }
+
+  static std::size_t bucket_of(double us);
+  static double bucket_lower(std::size_t bucket);
+
+ private:
+  // Extends counts_ to cover `bucket`.
+  void grow(std::size_t bucket);
+
+  std::vector<std::uint64_t> counts_;
+  std::uint64_t count_ = 0;
+  double sum_ = 0;
+  double min_ = 0;
+  double max_ = 0;
+};
 
 // Admission-control outcomes.  "Rejected" is refused at submit time;
 // "shed" was admitted but dropped from the queue later to protect the
@@ -166,7 +222,7 @@ struct WindowStats {
 class ServerStats {
  public:
   // `window` spans the sliding-window gauges (autoscale signals); the
-  // cumulative counters and full latency sample are unaffected by it.
+  // cumulative counters and latency histogram are unaffected by it.
   // `clock` stamps every recorded event and defaults to the real steady
   // clock; under a SimClock the windowed gauges advance in sim time, so
   // policy code reading them cannot diverge from the event loop (the
@@ -220,20 +276,18 @@ class ServerStats {
   // sim-clocked recorder's window is evaluated at sim time.
   WindowStats window() const { return window(clock_->now()); }
   WindowStats window(std::chrono::steady_clock::time_point now) const;
-  // Raw latency samples within the window — fleet-level window percentiles
-  // must pool raw samples across replicas (percentiles don't average).
-  std::vector<double> windowed_latency_samples() const {
-    return windowed_latency_samples(clock_->now());
-  }
-  std::vector<double> windowed_latency_samples(
+  // Latencies within the window, all tenants — fleet-level window
+  // percentiles merge these across replicas (percentiles don't average).
+  LatencyHistogram windowed_latency(
       std::chrono::steady_clock::time_point now) const;
   std::chrono::milliseconds window_span() const { return window_; }
   std::size_t batches() const;
   double mean_batch_size() const;
   void reset();
 
-  // Pools `other` into this recorder: latency samples, batch and admission
-  // counters, and the completion-time span (min first / max last).  The
+  // Pools `other` into this recorder: latency histograms, batch and
+  // admission counters, and the completion-time span (min first / max
+  // last).  The
   // sliding window is NOT pooled — windows are per-replica signals; pool
   // the WindowStats counters instead.
   void merge(const ServerStats& other);
@@ -255,34 +309,47 @@ class ServerStats {
     std::size_t queue_delay_count = 0;
   };
 
-  // Rotates the bucket ring so `now` falls in the current bucket; stale
-  // buckets are zeroed.  Caller holds mu_.
-  Bucket& current_bucket_locked(std::chrono::steady_clock::time_point now);
-  void prune_latency_window_locked(std::chrono::steady_clock::time_point now);
+  // One window bucket's latencies for one tenant.
+  struct WindowLatency {
+    std::chrono::steady_clock::time_point start{};
+    LatencyHistogram latency;
+  };
 
   static constexpr std::size_t kBuckets = 16;
 
-  // One tenant's cumulative slice.  The latency sample is duplicated per
-  // tenant (the global latencies_us_ stays the merge/summary source of
-  // truth) so fleet-level per-tenant percentiles pool RAW samples across
-  // replicas, same rule as the global ones.
+  // One tenant's slice.  The recorder keeps no latency store besides
+  // these: the recorder-wide histogram (summary(), window()) is the merge
+  // of every tenant's, so each completion is counted once.
   struct TenantSlice {
     std::size_t admitted = 0;
     std::size_t rejected = 0;
     std::size_t shed = 0;
     std::size_t quota_refused = 0;
-    std::vector<double> latencies_us;
+    LatencyHistogram latency;                   // cumulative
+    std::array<WindowLatency, kBuckets> window;  // same ring as buckets_
   };
 
-  struct WindowedSample {
-    std::chrono::steady_clock::time_point when;
-    double latency_us;
-    std::uint32_t tenant;
-  };
+  // The ring slot and bucket start that `now` falls in.
+  std::size_t slot_of(std::chrono::steady_clock::time_point now,
+                      std::chrono::steady_clock::time_point* start) const;
+  // Rotates the bucket ring so `now` falls in the current bucket; stale
+  // buckets are zeroed.  Caller holds mu_.
+  Bucket& current_bucket_locked(std::chrono::steady_clock::time_point now);
+  // Whether a bucket starting at `start` lies inside the window at `now`.
+  bool in_window(std::chrono::steady_clock::time_point start,
+                 std::chrono::steady_clock::time_point now) const {
+    return start >= now - window_ && start <= now;
+  }
+  // `slice`'s latencies inside the window at `now`.  Caller holds mu_.
+  LatencyHistogram windowed_locked(
+      const TenantSlice& slice,
+      std::chrono::steady_clock::time_point now) const;
+  // Every tenant's latencies inside the window at `now`.  Caller holds mu_.
+  LatencyHistogram windowed_all_locked(
+      std::chrono::steady_clock::time_point now) const;
 
   const Clock* clock_;  // never null; defaults to &real_clock()
   mutable std::mutex mu_;
-  std::vector<double> latencies_us_;
   std::size_t batches_ = 0;
   std::size_t batched_requests_ = 0;
   AdmissionCounters admission_;
@@ -299,7 +366,6 @@ class ServerStats {
   std::chrono::milliseconds window_;
   std::chrono::steady_clock::duration bucket_len_;
   std::array<Bucket, kBuckets> buckets_{};
-  std::deque<WindowedSample> windowed_latencies_;
   std::unordered_set<std::uint64_t> merged_generations_;
 };
 

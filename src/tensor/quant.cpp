@@ -223,11 +223,11 @@ void gemm_s8_impl(std::size_t m, std::size_t k, std::size_t n,
   // 64 outputs x k codes of pair-pack is ~12 KB at the serving shape —
   // comfortably L2-resident next to the activation words.  The batch
   // block starts big (stream weights once) and halves until the grid can
-  // feed every pool thread.
+  // feed every thread this call can use (one on a serving dispatcher).
   const std::size_t kJBlock = 64;
   const std::size_t njb = (n + kJBlock - 1) / kJBlock;
   std::size_t mblock = 128;
-  const std::size_t threads = global_pool().size();
+  const std::size_t threads = parallel_width();
   while (mblock > 16 && njb * ((m + mblock - 1) / mblock) < threads) {
     mblock /= 2;
   }

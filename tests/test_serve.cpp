@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <future>
+#include <random>
 #include <thread>
 
 #include "core/precompute.h"
@@ -11,6 +14,7 @@
 #include "loader/cache.h"
 #include "loader/storage.h"
 #include "serve/feature_source.h"
+#include "serve/clock.h"
 #include "serve/inference_session.h"
 #include "serve/micro_batcher.h"
 #include "serve/server_stats.h"
@@ -285,6 +289,157 @@ TEST(ServerStats, PercentilesAndThroughput) {
   EXPECT_GT(s.throughput_rps, 0.0);
   const auto json = s.to_json();
   EXPECT_NE(json.find("\"p99_us\":99.0"), std::string::npos) << json;
+}
+
+// --- LatencyHistogram ---------------------------------------------------
+
+// A seeded Zipf-latency stream: rank k ~ Zipf(1.0) over 20000 ranks maps
+// to 130 + 9 * k^0.9 us plus sub-microsecond jitter — a heavy tail that
+// stays in the relative-error regime (>= 128 us).
+std::vector<double> zipf_latencies(std::size_t n, std::uint64_t seed) {
+  constexpr std::size_t kRanks = 20000;
+  std::vector<double> cdf(kRanks);
+  double total = 0;
+  for (std::size_t k = 0; k < kRanks; ++k) {
+    total += 1.0 / static_cast<double>(k + 1);
+    cdf[k] = total;
+  }
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<double> out(n);
+  for (double& v : out) {
+    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u(rng) * total);
+    const auto k = static_cast<double>(it - cdf.begin() + 1);
+    v = 130.0 + 9.0 * std::pow(k, 0.9) + u(rng);
+  }
+  return out;
+}
+
+double exact_percentile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  auto rank = static_cast<std::size_t>(
+      std::ceil(p / 100.0 * static_cast<double>(v.size())));
+  rank = std::min(v.size(), std::max<std::size_t>(rank, 1));
+  return v[rank - 1];
+}
+
+TEST(LatencyHistogram, BucketsAreLogLinearWithinOnePercent) {
+  // Integer microseconds below 128, then 128 sub-buckets per octave.
+  EXPECT_EQ(LatencyHistogram::bucket_of(0.4), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(-3.0), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(57.9), 57u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(200.5), 200u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(256.0), 256u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(257.0), 256u);  // 2 us wide here
+  EXPECT_EQ(LatencyHistogram::bucket_of(1e30),
+            LatencyHistogram::kMaxBuckets - 1);
+  std::size_t prev = 0;
+  for (double v = 1.0; v < 4e9; v *= 1.0007) {
+    const std::size_t b = LatencyHistogram::bucket_of(v);
+    ASSERT_LT(b, LatencyHistogram::kMaxBuckets);
+    ASSERT_GE(b, prev) << v;  // monotone
+    prev = b;
+    const double lo = LatencyHistogram::bucket_lower(b);
+    ASSERT_LE(lo, v) << v;
+    ASSERT_GT(LatencyHistogram::bucket_lower(b + 1), v) << v;
+    if (v >= 128.0) {
+      ASSERT_LE(v - lo, v / 128.0) << v;
+    } else {
+      ASSERT_LT(v - lo, 1.0) << v;
+    }
+  }
+}
+
+TEST(LatencyHistogram, MergeEqualsRecordingTheUnion) {
+  const auto a = zipf_latencies(50000, 1);
+  const auto b = zipf_latencies(30000, 2);
+  LatencyHistogram ha, hb, all;
+  for (const double v : a) {
+    ha.record(v);
+    all.record(v);
+  }
+  for (const double v : b) {
+    hb.record(v);
+    all.record(v);
+  }
+  LatencyHistogram merged;
+  merged.merge(ha);
+  merged.merge(hb);
+  EXPECT_EQ(merged.count(), all.count());
+  EXPECT_EQ(merged.min(), all.min());
+  EXPECT_EQ(merged.max(), all.max());
+  EXPECT_NEAR(merged.mean(), all.mean(), 1e-9 * all.mean());
+  for (double p = 0; p <= 100.0; p += 0.5) {
+    EXPECT_EQ(merged.percentile(p), all.percentile(p)) << "p" << p;
+  }
+  // Merging an empty histogram is a no-op either way round.
+  LatencyHistogram empty;
+  merged.merge(empty);
+  empty.merge(all);
+  EXPECT_EQ(merged.percentile(99), empty.percentile(99));
+}
+
+TEST(LatencyHistogram, ZipfPercentilesWithinOnePercentOfExact) {
+  const auto v = zipf_latencies(200000, 7);
+  LatencyHistogram h;
+  for (const double x : v) h.record(x);
+  for (const double p : {50.0, 90.0, 99.0, 99.9}) {
+    const double exact = exact_percentile(v, p);
+    EXPECT_NEAR(h.percentile(p), exact, 0.01 * exact) << "p" << p;
+  }
+  EXPECT_EQ(h.percentile(100), exact_percentile(v, 100));
+  EXPECT_EQ(h.percentile(0), exact_percentile(v, 0));
+}
+
+TEST(LatencyHistogram, MemoryDoesNotGrowWithRecords) {
+  // Values sweep 1 us .. ~1 h, so every octave gets touched early; after
+  // that no number of records may allocate another byte.
+  LatencyHistogram h;
+  auto value = [](std::size_t i) {
+    return std::ldexp(1.0 + static_cast<double>(i % 997) / 997.0,
+                      static_cast<int>(i % 32));
+  };
+  for (std::size_t i = 0; i < 100000; ++i) h.record(value(i));
+  const std::size_t bytes = h.bytes();
+  EXPECT_LE(bytes, LatencyHistogram::kMaxBuckets * sizeof(std::uint64_t));
+  for (std::size_t i = 100000; i < 10000000; ++i) h.record(value(i));
+  EXPECT_EQ(h.count(), 10000000u);
+  EXPECT_EQ(h.bytes(), bytes);
+  // clear() recycles the storage.
+  h.clear();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.percentile(50), 0.0);
+  EXPECT_EQ(h.bytes(), bytes);
+}
+
+TEST(ServerStats, TenantWindowsAgeOutWhileCumulativeStays) {
+  SimClock clock(std::chrono::seconds(100));
+  ServerStats stats(std::chrono::milliseconds(160), &clock);
+  for (int i = 1; i <= 100; ++i) stats.record(static_cast<double>(i), 0);
+  for (int i = 1; i <= 10; ++i) stats.record(1000.0 * i, 3);
+  auto rows = stats.tenant_stats();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].win_samples, 100u);
+  EXPECT_EQ(rows[0].win_p50_us, 50.0);
+  EXPECT_EQ(rows[1].tenant, 3u);
+  EXPECT_EQ(rows[1].win_samples, 10u);
+  EXPECT_EQ(stats.window().latency.count, 110u);
+
+  // One window later the old latencies are out of the window; new ones
+  // land in a recycled bucket.
+  clock.advance(std::chrono::milliseconds(200));
+  stats.record(7.0, 0);
+  rows = stats.tenant_stats();
+  EXPECT_EQ(rows[0].win_samples, 1u);
+  EXPECT_EQ(rows[0].win_p99_us, 7.0);
+  EXPECT_EQ(rows[1].win_samples, 0u);
+  EXPECT_EQ(rows[0].samples, 101u);  // cumulative keeps everything
+  EXPECT_EQ(rows[0].p50_us, 50.0);
+  EXPECT_EQ(rows[1].samples, 10u);
+  const auto w = stats.window();
+  EXPECT_EQ(w.latency.count, 1u);
+  EXPECT_EQ(stats.windowed_latency(clock.now()).count(), 1u);
+  EXPECT_EQ(stats.summary().count, 111u);
 }
 
 TEST(Workload, ZipfStreamIsHeavyTailedAndSeeded) {

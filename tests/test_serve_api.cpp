@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -26,9 +27,18 @@
 #include "serve/router.h"
 #include "serve/serve_api.h"
 #include "serve/server_stats.h"
+#include "tensor/parallel.h"
 
 namespace ppgnn::serve {
 namespace {
+
+// Pin the global pool to 4 threads before anything touches it, so the
+// pool-driven reference below really fans out on a one-core runner too.
+// overwrite=0 keeps an explicit outer setting in charge.
+const bool g_pool_pinned = [] {
+  ::setenv("PPGNN_NUM_THREADS", "4", 0);
+  return true;
+}();
 
 std::string tmp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
@@ -522,6 +532,112 @@ TEST(ServeApi, LegacyFutureShimBitIdenticalToEnvelopePath) {
 }
 
 // --- No completion lost across resizes ------------------------------------
+
+// Records the parallel width its gathers run under.
+class WidthProbeSource : public FeatureSource {
+ public:
+  WidthProbeSource(std::unique_ptr<FeatureSource> inner,
+                   std::atomic<std::size_t>* width)
+      : inner_(std::move(inner)), width_(width) {}
+  std::size_t num_rows() const override { return inner_->num_rows(); }
+  std::size_t row_dim() const override { return inner_->row_dim(); }
+  void gather(const std::vector<std::int64_t>& rows, Tensor& out) override {
+    width_->store(parallel_width());
+    inner_->gather(rows, out);
+  }
+  const char* kind() const override { return "width-probe"; }
+
+ private:
+  std::unique_ptr<FeatureSource> inner_;
+  std::atomic<std::size_t>* width_;
+};
+
+TEST(ServeApi, DispatcherRunsKernelsInlineCallerThreadFansOut) {
+  ASSERT_TRUE(g_pool_pinned);
+  const Fixture fx;
+  const std::string ckpt = fx.deploy("api_width.ckpt");
+  std::atomic<std::size_t> width{0};
+  FleetBuilder builder(
+      ckpt, [&fx](std::size_t i) { return fx.make_model(100 + i); },
+      [&](std::size_t) {
+        return std::make_unique<WidthProbeSource>(
+            std::make_unique<MemorySource>(fx.pre), &width);
+      });
+  auto session = builder.build(0);
+  session->infer_nodes({0, 1, 2});
+  EXPECT_EQ(width.load(), global_pool().size());  // caller thread: pool
+
+  FleetManager fleet(std::move(builder), 1, FleetConfig{});
+  ServeRequest req;
+  req.nodes = {0, 1, 2};
+  ASSERT_EQ(fleet.infer_request(std::move(req)).status, ServeStatus::kOk);
+  EXPECT_EQ(width.load(), 1u);  // replica dispatcher: inline
+  fleet.stop();
+}
+
+TEST(ServeApi, InlineDispatchersBitIdenticalToPoolDrivenSession) {
+  // Replica dispatchers run their kernels inline (SerialRegion); a session
+  // called from this thread fans the same kernels out over the global
+  // pool.  Eight client threads hammer a 2-replica fleet and every logit
+  // must equal the pool-driven answer bit for bit, fp32 and int8 alike.
+  ASSERT_TRUE(g_pool_pinned);
+  const Fixture fx;
+  for (const Precision prec : {Precision::kFp32, Precision::kInt8}) {
+    const bool int8 = prec == Precision::kInt8;
+    const std::string ckpt =
+        tmp_path(int8 ? "inline_int8.ckpt" : "inline_fp32.ckpt");
+    save_deployed_model(*fx.make_model(21), ckpt, prec);
+    auto builder = [&] {
+      return FleetBuilder(
+          ckpt, [&fx](std::size_t i) { return fx.make_model(100 + i); },
+          [&fx](std::size_t) { return std::make_unique<MemorySource>(fx.pre); },
+          prec);
+    };
+    // 4096 rows: past the gather (512) and fp32 GEMM (1024) grains, so
+    // the reference forward really runs on the pool.
+    auto ref = builder().build(0);
+    const auto n_nodes = static_cast<std::int64_t>(ref->num_nodes());
+    std::vector<std::int64_t> all(4096);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      all[i] = static_cast<std::int64_t>(i) % n_nodes;
+    }
+    const Tensor want = ref->infer_nodes(all);
+
+    FleetConfig fc;
+    fc.precision = prec;
+    fc.batch.max_delay = std::chrono::microseconds(100);
+    FleetManager fleet(builder(), 2, fc);
+    constexpr std::size_t kThreads = 8;
+    constexpr std::size_t kPerThread = 150;
+    std::atomic<std::size_t> ok{0}, mismatches{0};
+    std::vector<std::thread> clients;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      clients.emplace_back([&, t] {
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          ServeRequest req;
+          req.id = t * kPerThread + i;
+          const auto base =
+              static_cast<std::int64_t>((t * 131 + i * 17) % n_nodes);
+          req.nodes = {base, (base + 5) % n_nodes, (base + 11) % n_nodes};
+          const auto nodes = req.nodes;
+          const ServeResponse r = fleet.infer_request(std::move(req));
+          if (r.status != ServeStatus::kOk) continue;
+          ok.fetch_add(1);
+          for (std::size_t s = 0; s < nodes.size(); ++s) {
+            const auto row = static_cast<std::size_t>(nodes[s]);
+            for (std::size_t j = 0; j < want.cols(); ++j) {
+              if (r.logits[s][j] != want.at(row, j)) mismatches.fetch_add(1);
+            }
+          }
+        }
+      });
+    }
+    for (auto& c : clients) c.join();
+    EXPECT_EQ(ok.load(), kThreads * kPerThread) << precision_name(prec);
+    EXPECT_EQ(mismatches.load(), 0u) << precision_name(prec);
+    fleet.stop();
+  }
+}
 
 TEST(ServeApi, EightThreadHammerLosesNoCompletionsAcrossResizes) {
   const Fixture fx;
