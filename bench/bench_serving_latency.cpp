@@ -101,6 +101,7 @@
 #include "serve/workload.h"
 #include "tenancy/tenant.h"
 #include "tensor/cpu_features.h"
+#include "tensor/ops.h"
 #include "tensor/parallel.h"
 #include "tensor/quant.h"
 #include "tensor/rng.h"
@@ -1325,7 +1326,8 @@ int main(int argc, char** argv) {
   }
 
   // --- 8. kernel ladder: per-ISA GEMM table + end-to-end serving. --------
-  header("8. kernel ladder: INT8 GEMM arms (PPGNN_ISA forces any arm)");
+  header("8. kernel ladder: INT8 and fp32 GEMM arms (PPGNN_ISA forces any "
+         "arm)");
   {
     // The arm an unforced int8 deployment on this host dispatches to —
     // recorded per row as "active" so the fleetsim calibration knows
@@ -1340,11 +1342,14 @@ int main(int argc, char** argv) {
     Rng grng(97);
     const Tensor gx = Tensor::normal({gm, gk}, grng, 0.1f, 1.f);
     const Tensor gw = Tensor::normal({gn, gk}, grng, 0.f, 1.f);
+    // The fp32 Linear's weight is [in, out]: the same layer as x @ W.
+    const Tensor gw_f32 = Tensor::normal({gk, gn}, grng, 0.f, 1.f);
     const serve::Precision int8 = serve::Precision::kInt8;
     const auto ladder_stream = make_stream(quick ? 15000 : 40000, 47);
 
-    std::printf("%-12s %10s %10s %12s %12s %12s %7s\n", "isa", "supported",
-                "gops", "vs sse2", "serve rps", "vs sse2", "active");
+    std::printf("%-12s %10s %10s %12s %12s %12s %12s %7s\n", "isa",
+                "supported", "gops", "vs sse2", "f32 gflops", "serve rps",
+                "vs sse2", "active");
     double sse2_gops = 0, sse2_rps = 0;
     for (std::size_t i = 0; i < kNumIsa; ++i) {
       const Isa arm = static_cast<Isa>(i);
@@ -1378,6 +1383,24 @@ int main(int argc, char** argv) {
       const double gops = 2.0 * static_cast<double>(gm) * gk * gn * reps /
                           gsec / 1e9;
 
+      // fp32 rate of the same layer on this arm's tile (fp32 follows
+      // active_isa(), so the override selects it), also inline.
+      set_isa_override(arm);
+      double fsec = 0;
+      {
+        const SerialRegion inline_like_a_dispatcher;
+        Tensor fc({gm, gn});
+        gemm(gx, false, gw_f32, false, fc);  // warm
+        const auto f0 = std::chrono::steady_clock::now();
+        for (int r = 0; r < reps; ++r) gemm(gx, false, gw_f32, false, fc);
+        fsec = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - f0)
+                   .count();
+      }
+      clear_isa_override();
+      const double f32_gflops =
+          2.0 * static_cast<double>(gm) * gk * gn * reps / fsec / 1e9;
+
       // End-to-end: the same int8 closed-loop drive as section 4, with
       // the override forcing every quantize in the fleet onto this arm.
       set_isa_override(arm);
@@ -1397,18 +1420,19 @@ int main(int argc, char** argv) {
       const double gops_vs = sse2_gops > 0 ? gops / sse2_gops : 0.0;
       const double rps_vs = sse2_rps > 0 ? p.achieved_rps / sse2_rps : 0.0;
       const bool active = arm == dispatched_arm;
-      std::printf("%-12s %10s %10.1f %11.2fx %12.0f %11.2fx %7s\n",
-                  isa_name(arm), "yes", gops, gops_vs, p.achieved_rps,
-                  rps_vs, active ? "*" : "");
+      std::printf("%-12s %10s %10.1f %11.2fx %12.1f %12.0f %11.2fx %7s\n",
+                  isa_name(arm), "yes", gops, gops_vs, f32_gflops,
+                  p.achieved_rps, rps_vs, active ? "*" : "");
       char buf[512];
       std::snprintf(buf, sizeof(buf),
                     "{\"section\":\"kernel_ladder\",\"isa\":\"%s\","
                     "\"supported\":true,\"gemm_m\":%zu,\"gemm_k\":%zu,"
                     "\"gemm_n\":%zu,\"gemm_gops\":%.2f,"
-                    "\"gemm_speedup_vs_sse2\":%.2f,\"serve_rps\":%.0f,"
+                    "\"gemm_speedup_vs_sse2\":%.2f,"
+                    "\"gemm_f32_gflops\":%.2f,\"serve_rps\":%.0f,"
                     "\"serve_speedup_vs_sse2\":%.2f,\"cache_hit_rate\":%.3f,"
                     "\"active\":%s}",
-                    isa_name(arm), gm, gk, gn, gops, gops_vs,
+                    isa_name(arm), gm, gk, gn, gops, gops_vs, f32_gflops,
                     p.achieved_rps, rps_vs, p.hit_rate,
                     active ? "true" : "false");
       emit(buf);

@@ -70,7 +70,7 @@ void Hoga::backward(const Tensor& grad_logits) {
           .reshaped({batch_rows_ * tokens, cfg_.hidden});
   Tensor d_t = norm_.backward(d_norm);
   add_inplace(d_t, d_res);  // skip-path gradient
-  (void)proj_.backward(d_t);
+  proj_.backward_params(d_t);
 }
 
 void Hoga::collect_params(std::vector<nn::ParamSlot>& out) {

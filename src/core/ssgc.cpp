@@ -35,7 +35,7 @@ Tensor Ssgc::forward(const Tensor& batch, bool train) {
 void Ssgc::backward(const Tensor& grad_logits) {
   // The hop average is a fixed linear map of the (constant) input batch, so
   // only the linear layer accumulates gradients.
-  (void)linear_.backward(grad_logits);
+  linear_.backward_params(grad_logits);
 }
 
 void Ssgc::collect_params(std::vector<nn::ParamSlot>& out) {

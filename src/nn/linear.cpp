@@ -37,14 +37,18 @@ Tensor Linear::forward(const Tensor& x, bool train) {
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
-  // dW += X^T dY, db += sum_rows(dY), dX = dY W^T.
+  backward_params(grad_out);
+  return matmul_nt(grad_out, weight_);  // dX = dY W^T
+}
+
+void Linear::backward_params(const Tensor& grad_out) {
+  // dW += X^T dY, db += sum_rows(dY).
   gemm(cached_input_, true, grad_out, false, grad_weight_, 1.f, 1.f);
   if (!bias_.empty()) {
     Tensor db({bias_.size()});
     sum_rows(grad_out, db);
     add_inplace(grad_bias_, db);
   }
-  return matmul_nt(grad_out, weight_);
 }
 
 void Linear::collect_params(std::vector<ParamSlot>& out) {

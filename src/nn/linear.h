@@ -28,6 +28,9 @@ class Linear : public Module {
 
   Tensor forward(const Tensor& x, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
+  // backward without the input gradient: accumulates dW and db only, for
+  // a first layer whose input is data (nobody reads its dX).
+  void backward_params(const Tensor& grad_out);
   void collect_params(std::vector<ParamSlot>& out) override;
   void collect_linears(std::vector<Linear*>& out) override {
     out.push_back(this);

@@ -1,4 +1,6 @@
-// Runtime ISA selection for the INT8 serving GEMM kernel ladder.
+// Runtime ISA selection for the INT8 serving GEMM kernel ladder and the
+// fp32 GEMM tile (tensor/ops.h, gemm), which picks its arm from
+// active_isa() on every call.
 //
 // The ladder (tensor/quant.h, docs/kernels.md) has four arms —
 //

@@ -4,8 +4,15 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
+#include "tensor/cpu_features.h"
+#include "tensor/gemm_f32_kernels.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
 
@@ -20,8 +27,8 @@ void check_2d(const Tensor& t, const char* what) {
   }
 }
 
-// Serial inner GEMM over a row range of C, with A and B in "logical"
-// (already transposition-resolved) index order via strides.
+// A and B in "logical" (already transposition-resolved) index order via
+// strides.
 struct MatView {
   const float* p;
   std::size_t r, c;      // logical rows/cols
@@ -35,7 +42,78 @@ MatView view(const Tensor& t, bool trans) {
   return {t.data(), t.cols(), t.rows(), 1, t.cols()};
 }
 
+// The scalar arm and the oracle of the fp32 ladder (gemm_f32_kernels.h):
+// rows [i0, i1) of C, one element's sequence exactly as the contract
+// spells it.  NN/TN add (alpha * a) * b onto beta-scaled C; NT/TT take a
+// dot product from zero and blend it in at the end.
+void gemm_rows_scalar(const MatView& A, const MatView& B, bool trans_b,
+                      float* C, float alpha, float beta, std::size_t i0,
+                      std::size_t i1) {
+  const std::size_t k = A.c, n = B.c;
+  for (std::size_t i = i0; i < i1; ++i) {
+    float* crow = C + i * n;
+    if (beta == 0.f) {
+      std::fill(crow, crow + n, 0.f);
+    } else if (beta != 1.f) {
+      for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
+    }
+    if (!trans_b) {
+      for (std::size_t l = 0; l < k; ++l) {
+        const float av = alpha * A.at(i, l);
+        const float* brow = B.p + l * n;
+        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      }
+    } else {
+      for (std::size_t j = 0; j < n; ++j) {
+        float acc = 0.f;
+        for (std::size_t l = 0; l < k; ++l) acc += A.at(i, l) * B.at(l, j);
+        crow[j] += alpha * acc;
+      }
+    }
+  }
+}
+
+#if defined(__SSE2__)
+// 4 lanes; SSE2 has no masked move, so column tails stage through a stack
+// buffer.
+struct Sse2F32 {
+  using reg = __m128;
+  static constexpr std::size_t kWidth = 4;
+  static reg zero() { return _mm_setzero_ps(); }
+  static reg set1(float x) { return _mm_set1_ps(x); }
+  static reg load(const float* p) { return _mm_loadu_ps(p); }
+  static reg load_n(const float* p, std::size_t n) {
+    alignas(16) float t[4] = {0.f, 0.f, 0.f, 0.f};
+    for (std::size_t i = 0; i < n; ++i) t[i] = p[i];
+    return _mm_load_ps(t);
+  }
+  static void store(float* p, reg v) { _mm_storeu_ps(p, v); }
+  static void store_n(float* p, reg v, std::size_t n) {
+    alignas(16) float t[4];
+    _mm_store_ps(t, v);
+    for (std::size_t i = 0; i < n; ++i) p[i] = t[i];
+  }
+  static reg mul(reg a, reg b) { return _mm_mul_ps(a, b); }
+  static reg add(reg a, reg b) { return _mm_add_ps(a, b); }
+};
+#endif
+
 }  // namespace
+
+namespace detail {
+
+// 6 x 8 tiles: 12 xmm accumulators.
+void gemm_f32_rows_sse2(const GemmF32Args& g, std::size_t i0,
+                        std::size_t i1) {
+#if defined(__SSE2__)
+  gemm_f32::run<Sse2F32>(g, i0, i1);
+#else
+  (void)g, (void)i0, (void)i1;
+  throw std::logic_error("gemm: sse2 arm not compiled");  // unreachable
+#endif
+}
+
+}  // namespace detail
 
 void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
           Tensor& c, float alpha, float beta) {
@@ -50,47 +128,64 @@ void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
   }
   float* C = c.data();
 
-  // Fast path: no transposes — row-major friendly i-k-j loop with 4-wide j
-  // unrolling; the compiler vectorizes the inner loop.
-  parallel_for(m, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      float* crow = C + i * n;
-      if (beta == 0.f) {
-        std::fill(crow, crow + n, 0.f);
-      } else if (beta != 1.f) {
-        for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
-      }
-      if (!trans_a && !trans_b) {
-        const float* arow = A.p + i * k;
-        for (std::size_t l = 0; l < k; ++l) {
-          const float av = alpha * arow[l];
-          if (av == 0.f) continue;
-          const float* brow = B.p + l * n;
-          for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      } else if (trans_a && !trans_b) {
-        for (std::size_t l = 0; l < k; ++l) {
-          const float av = alpha * A.p[l * m + i];  // A logical (i,l) = phys (l,i)
-          if (av == 0.f) continue;
-          const float* brow = B.p + l * n;
-          for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      } else {
-        // B transposed: dot products over contiguous B rows.
+  const Isa arm = active_isa();
+  if (arm == Isa::kScalar) {
+    parallel_for(m, [&](std::size_t i0, std::size_t i1) {
+      gemm_rows_scalar(A, B, trans_b, C, alpha, beta, i0, i1);
+    }, /*grain=*/8);
+    return;
+  }
+
+  // The tiles read op(B) as row-major [k, n].  B^T is packed into that
+  // layout once per call (a [n, k] weight: at most 1 MiB here).
+  std::unique_ptr<float[]> packed;
+  const float* bk = B.p;
+  if (trans_b) {
+    packed.reset(new float[k * n]);
+    float* pk = packed.get();
+    constexpr std::size_t kLBlock = 16;  // one cache line of a B row
+    parallel_for((k + kLBlock - 1) / kLBlock, [&](std::size_t b0,
+                                                  std::size_t b1) {
+      for (std::size_t l0 = b0 * kLBlock; l0 < std::min(b1 * kLBlock, k);
+           l0 += kLBlock) {
+        const std::size_t l1 = std::min(l0 + kLBlock, k);
         for (std::size_t j = 0; j < n; ++j) {
-          float acc = 0.f;
-          if (!trans_a) {
-            const float* arow = A.p + i * k;
-            const float* brow = B.p + j * k;  // B logical (l,j) = phys (j,l)
-            for (std::size_t l = 0; l < k; ++l) acc += arow[l] * brow[l];
-          } else {
-            for (std::size_t l = 0; l < k; ++l) acc += A.at(i, l) * B.at(l, j);
-          }
-          crow[j] += alpha * acc;
+          for (std::size_t l = l0; l < l1; ++l) pk[l * n + j] = B.at(l, j);
         }
       }
-    }
-  }, /*grain=*/8);
+    }, /*grain=*/4);
+    bk = pk;
+  }
+  // NN/TN add (alpha * a) * b: the tiles read alpha * A (see
+  // gemm_f32_kernels.h for why alpha == 1 needs no copy).
+  std::unique_ptr<float[]> scaled;
+  const float* ak = A.p;
+  if (!trans_b && alpha != 1.f) {
+    const std::size_t size = a.size();
+    scaled.reset(new float[size]);
+    for (std::size_t i = 0; i < size; ++i) scaled[i] = alpha * A.p[i];
+    ak = scaled.get();
+  }
+  detail::GemmF32Args g;
+  g.a = ak;
+  g.a_rs = A.rs;
+  g.a_cs = A.cs;
+  g.b = bk;
+  g.c = C;
+  g.n = n;
+  g.k = k;
+  g.alpha = alpha;
+  g.beta = beta;
+  g.zero_mode = trans_b;
+  const auto rows = arm == Isa::kAvx512Vnni ? &detail::gemm_f32_rows_avx512
+                    : arm == Isa::kAvx2     ? &detail::gemm_f32_rows_avx2
+                                            : &detail::gemm_f32_rows_sse2;
+  // Whole tiles per part, so only the last block is a row tail; which
+  // thread runs a tile changes no bit of it.
+  constexpr std::size_t R = detail::kGemmF32TileRows;
+  parallel_for((m + R - 1) / R, [&](std::size_t b0, std::size_t b1) {
+    rows(g, b0 * R, std::min(b1 * R, m));
+  }, /*grain=*/2);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

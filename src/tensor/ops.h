@@ -1,10 +1,11 @@
 // Dense kernels shared by the NN layers, samplers and models.
 //
 // All kernels are CPU implementations parallelized over the leading
-// dimension with the global thread pool.  GEMM is a register-blocked
-// microkernel — not BLAS-fast, but fast enough that the real-training
-// experiments (accuracy / convergence figures) complete in seconds on the
-// scaled-down synthetic datasets.
+// dimension with the global thread pool.  GEMM runs a register-blocked
+// tile on the CPUID ladder of tensor/cpu_features.h (docs/kernels.md,
+// "fp32 GEMM"): 6 rows x 2 vectors of C stay in registers over the whole
+// k, 16/8/4 lanes wide on avx512vnni/avx2/sse2, and every arm is
+// bit-identical to the scalar loops.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +20,10 @@ class Rng;
 // ---------------------------------------------------------------------------
 // GEMM: C = alpha * op(A) @ op(B) + beta * C.
 // op(A) is [m, k], op(B) is [k, n], C is [m, n]; dimensions are validated.
+// Each element is a separate multiply then add in ascending k, never an
+// FMA, so the result does not depend on the arm or the thread count.
+// Zeros in A are multiplied like any other value: a NaN or Inf in B
+// reaches C even behind a zero of A.
 void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
           Tensor& c, float alpha = 1.f, float beta = 0.f);
 

@@ -1,4 +1,5 @@
-// AVX2 arm of the INT8 GEMM kernel ladder (quant_kernels.h).
+// AVX2 arm of both kernel ladders: the INT8 GEMM (quant_kernels.h) and
+// the fp32 GEMM tile (gemm_f32_kernels.h).
 //
 // This translation unit alone is compiled with -mavx2 -ffp-contract=off
 // (CMakeLists.txt); the function only runs after the CPUID probe
@@ -7,7 +8,9 @@
 // tail in quant.cpp are what keep this arm bit-identical to scalar: gcc
 // lowers mul/add _ps intrinsics to vector * and +, which contract=fast
 // would fuse into FMA on any -m level where FMA exists (see
-// quant_kernels.h for the full contract).
+// quant_kernels.h for the full contract).  The same flag keeps the fp32
+// tile's separate mul and add apart (gemm_f32_kernels.h).
+#include "tensor/gemm_f32_kernels.h"
 #include "tensor/quant_kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -54,6 +57,38 @@ void gemm_rows_avx2(const GemmRowArgs& a, std::size_t j0, std::size_t j1) {
 
 bool have_avx2_kernel() { return true; }
 
+namespace {
+
+// 8 lanes; column tails use vmaskmovps loads and stores.
+struct Avx2F32 {
+  using reg = __m256;
+  static constexpr std::size_t kWidth = 8;
+  static __m256i mask(std::size_t n) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  static reg zero() { return _mm256_setzero_ps(); }
+  static reg set1(float x) { return _mm256_set1_ps(x); }
+  static reg load(const float* p) { return _mm256_loadu_ps(p); }
+  static reg load_n(const float* p, std::size_t n) {
+    return _mm256_maskload_ps(p, mask(n));
+  }
+  static void store(float* p, reg v) { _mm256_storeu_ps(p, v); }
+  static void store_n(float* p, reg v, std::size_t n) {
+    _mm256_maskstore_ps(p, mask(n), v);
+  }
+  static reg mul(reg a, reg b) { return _mm256_mul_ps(a, b); }
+  static reg add(reg a, reg b) { return _mm256_add_ps(a, b); }
+};
+
+}  // namespace
+
+// 6 x 16 tiles: 12 ymm accumulators.
+void gemm_f32_rows_avx2(const GemmF32Args& g, std::size_t i0,
+                        std::size_t i1) {
+  gemm_f32::run<Avx2F32>(g, i0, i1);
+}
+
 #else
 
 void gemm_rows_avx2(const GemmRowArgs& a, std::size_t j0, std::size_t j1) {
@@ -61,6 +96,11 @@ void gemm_rows_avx2(const GemmRowArgs& a, std::size_t j0, std::size_t j1) {
 }
 
 bool have_avx2_kernel() { return false; }
+
+void gemm_f32_rows_avx2(const GemmF32Args& g, std::size_t i0,
+                        std::size_t i1) {
+  gemm_f32_rows_sse2(g, i0, i1);  // unreachable: dispatch checks have_*
+}
 
 #endif
 

@@ -1,4 +1,5 @@
-// AVX-512 VNNI arm of the INT8 GEMM kernel ladder (quant_kernels.h).
+// AVX-512 arm of both kernel ladders: the INT8 GEMM (quant_kernels.h) and
+// the fp32 GEMM tile (gemm_f32_kernels.h), selected at the avx512vnni rung.
 //
 // vpdpbusd fuses the whole pair-pack-and-madd dance into one instruction:
 // four k-steps for sixteen outputs, u8 x s8 -> int32.  The instruction
@@ -15,7 +16,9 @@
 // lowers mul/add _ps intrinsics to plain vector * and +, which
 // contract=fast would fuse into FMA here (where FMA exists) and the
 // epilogue would stop matching the baseline TUs bit for bit.  Sub-16
-// tails go to the out-of-line scalar oracle.
+// tails go to the out-of-line scalar oracle.  The same flag keeps the fp32
+// tile's separate mul and add from fusing into vfmadd.
+#include "tensor/gemm_f32_kernels.h"
 #include "tensor/quant_kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -62,6 +65,37 @@ void gemm_rows_avx512vnni(const GemmRowArgs& a, std::size_t j0,
 
 bool have_avx512vnni_kernel() { return true; }
 
+namespace {
+
+// 16 lanes; column tails use masked loads and stores.
+struct Avx512F32 {
+  using reg = __m512;
+  static constexpr std::size_t kWidth = 16;
+  static __mmask16 mask(std::size_t n) {
+    return static_cast<__mmask16>((1u << n) - 1u);
+  }
+  static reg zero() { return _mm512_setzero_ps(); }
+  static reg set1(float x) { return _mm512_set1_ps(x); }
+  static reg load(const float* p) { return _mm512_loadu_ps(p); }
+  static reg load_n(const float* p, std::size_t n) {
+    return _mm512_maskz_loadu_ps(mask(n), p);
+  }
+  static void store(float* p, reg v) { _mm512_storeu_ps(p, v); }
+  static void store_n(float* p, reg v, std::size_t n) {
+    _mm512_mask_storeu_ps(p, mask(n), v);
+  }
+  static reg mul(reg a, reg b) { return _mm512_mul_ps(a, b); }
+  static reg add(reg a, reg b) { return _mm512_add_ps(a, b); }
+};
+
+}  // namespace
+
+// 6 x 32 tiles: 12 zmm accumulators.
+void gemm_f32_rows_avx512(const GemmF32Args& g, std::size_t i0,
+                          std::size_t i1) {
+  gemm_f32::run<Avx512F32>(g, i0, i1);
+}
+
 #else
 
 void gemm_rows_avx512vnni(const GemmRowArgs& a, std::size_t j0,
@@ -70,6 +104,11 @@ void gemm_rows_avx512vnni(const GemmRowArgs& a, std::size_t j0,
 }
 
 bool have_avx512vnni_kernel() { return false; }
+
+void gemm_f32_rows_avx512(const GemmF32Args& g, std::size_t i0,
+                          std::size_t i1) {
+  gemm_f32_rows_avx2(g, i0, i1);  // unreachable: dispatch checks have_*
+}
 
 #endif
 

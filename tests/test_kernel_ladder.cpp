@@ -1,9 +1,10 @@
-// The INT8 GEMM kernel ladder (tensor/cpu_features.h, tensor/quant.h):
-// every arm this host can run must be BIT-IDENTICAL to the scalar oracle
-// — memcmp on the output floats, no error bound — across odd inner
-// dimensions, sub-vector-width output tails, zero rows, asymmetric
-// activation offsets, and an 8-thread pool (the pool size is forced
-// before main() so every parallel gemm in this binary runs blocked).
+// The INT8 and fp32 GEMM kernel ladders (tensor/cpu_features.h,
+// tensor/quant.h, tensor/ops.h): every arm this host can run must be
+// BIT-IDENTICAL to the scalar oracle — memcmp on the output floats, no
+// error bound — across odd inner dimensions, sub-vector-width output
+// tails, zero rows, asymmetric activation offsets, every transpose mode,
+// and an 8-thread pool (the pool size is forced before main() so every
+// parallel gemm in this binary runs blocked).
 // Plus the dispatch contract: PPGNN_ISA / set_isa_override force any
 // arm, forcing an unsupported arm degrades and never crashes, and a
 // matrix carries exactly one kernel layout (the scratch-halving point).
@@ -13,7 +14,12 @@
 #include <cstring>
 #include <vector>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "tensor/cpu_features.h"
+#include "tensor/ops.h"
 #include "tensor/parallel.h"
 #include "tensor/quant.h"
 #include "tensor/rng.h"
@@ -269,6 +275,122 @@ TEST(KernelLadder, EightThreadPoolStaysBitIdentical) {
   const Tensor bias = Tensor::normal({32}, rng, 0.f, 1.f);
   for (const Isa arm : runnable_arms()) {
     check_arm_vs_scalar(x, w, &bias, arm);
+  }
+}
+
+// --- fp32 GEMM ladder -------------------------------------------------------
+
+// Normal entries with every third one an exact zero, the way ReLU'd
+// activations and their gradients arrive.
+Tensor with_zeros(std::vector<std::size_t> shape, Rng& rng) {
+  Tensor t = Tensor::normal(std::move(shape), rng, 0.f, 1.f);
+  for (std::size_t i = 0; i < t.size(); i += 3) t[i] = 0.f;
+  return t;
+}
+
+// C = alpha * op(A) op(B) + beta * C0 on `arm`.
+Tensor gemm_on(Isa arm, const Tensor& a, bool ta, const Tensor& b, bool tb,
+               const Tensor& c0, float alpha, float beta) {
+  set_isa_override(arm);
+  Tensor c = c0;
+  gemm(a, ta, b, tb, c, alpha, beta);
+  clear_isa_override();
+  return c;
+}
+
+TEST(KernelLadder, Fp32GemmArmsBitIdenticalToScalar) {
+  const std::size_t ms[] = {1, 5, 6, 7, 512};
+  const std::size_t ns[] = {1, 15, 16, 17, 19, 33, 256};
+  const std::size_t ks[] = {1, 3, 384};
+  const float alphas[] = {1.f, 0.25f};
+  const float betas[] = {0.f, 1.f, 0.5f};
+  const std::vector<Isa> arms = runnable_arms();
+  Rng rng(31);
+  for (const std::size_t m : ms) {
+    for (const std::size_t n : ns) {
+      for (const std::size_t k : ks) {
+        const Tensor c0 = Tensor::normal({m, n}, rng, 0.f, 1.f);
+        for (const bool ta : {false, true}) {
+          for (const bool tb : {false, true}) {
+            const Tensor a = ta ? with_zeros({k, m}, rng)
+                                : with_zeros({m, k}, rng);
+            const Tensor b = tb ? Tensor::normal({n, k}, rng, 0.f, 1.f)
+                                : Tensor::normal({k, n}, rng, 0.f, 1.f);
+            for (const float alpha : alphas) {
+              for (const float beta : betas) {
+                const Tensor want =
+                    gemm_on(Isa::kScalar, a, ta, b, tb, c0, alpha, beta);
+                for (const Isa arm : arms) {
+                  if (arm == Isa::kScalar) continue;
+                  const std::string what =
+                      std::string(isa_name(arm)) + " m=" + std::to_string(m) +
+                      " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                      " ta=" + std::to_string(ta) +
+                      " tb=" + std::to_string(tb) +
+                      " alpha=" + std::to_string(alpha) +
+                      " beta=" + std::to_string(beta);
+                  expect_bitwise_equal(
+                      gemm_on(arm, a, ta, b, tb, c0, alpha, beta), want,
+                      what.c_str());
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelLadder, Fp32GemmSerialRegionMatchesPool) {
+  // Rows are split over the 8-worker pool in whole tiles; inside a
+  // SerialRegion one thread runs them all.  The bytes must not move.
+  Rng rng(32);
+  const std::size_t m = 512, k = 384, n = 256;
+  const Tensor c0 = Tensor::normal({m, n}, rng, 0.f, 1.f);
+  for (const Isa arm : runnable_arms()) {
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        const Tensor a = ta ? with_zeros({k, m}, rng) : with_zeros({m, k}, rng);
+        const Tensor b = tb ? Tensor::normal({n, k}, rng, 0.f, 1.f)
+                            : Tensor::normal({k, n}, rng, 0.f, 1.f);
+        const Tensor pooled = gemm_on(arm, a, ta, b, tb, c0, 0.25f, 0.5f);
+        Tensor inline_c;
+        {
+          const SerialRegion serial;
+          inline_c = gemm_on(arm, a, ta, b, tb, c0, 0.25f, 0.5f);
+        }
+        const std::string what = std::string(isa_name(arm)) +
+                                 " ta=" + std::to_string(ta) +
+                                 " tb=" + std::to_string(tb);
+        expect_bitwise_equal(inline_c, pooled, what.c_str());
+      }
+    }
+  }
+}
+
+TEST(KernelLadder, Fp32GemmPropagatesNanBehindZero) {
+  // No arm skips a zero of A: 0 * NaN is NaN, so a NaN in B reaches every
+  // element of C whose row meets it — on every arm alike.
+  Tensor a = Tensor::full({7, 3}, 0.f);
+  Tensor b = Tensor::full({3, 19}, 1.f);
+  b.at(1, 4) = std::numeric_limits<float>::quiet_NaN();
+  for (const Isa arm : runnable_arms()) {
+    for (const bool tb : {false, true}) {
+      Tensor bt({19, 3});
+      for (std::size_t l = 0; l < 3; ++l) {
+        for (std::size_t j = 0; j < 19; ++j) bt.at(j, l) = b.at(l, j);
+      }
+      const Tensor c = gemm_on(arm, a, false, tb ? bt : b, tb,
+                               Tensor({7, 19}), 1.f, 0.f);
+      for (std::size_t i = 0; i < 7; ++i) {
+        for (std::size_t j = 0; j < 19; ++j) {
+          EXPECT_EQ(std::isnan(c.at(i, j)), j == 4)
+              << isa_name(arm) << " tb=" << tb << " (" << i << "," << j
+              << ")";
+        }
+      }
+    }
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "grad_check.h"
 #include "nn/activations.h"
 #include "nn/attention.h"
@@ -58,6 +60,34 @@ TEST(Linear, GradAccumulatesAcrossBackwardCalls) {
   (void)lin.backward(g);
   for (std::size_t i = 0; i < once.size(); ++i) {
     EXPECT_NEAR((*slots[0].grad)[i], 2.f * once[i], 1e-5f);
+  }
+}
+
+TEST(Linear, BackwardParamsMatchesFullBackwardBitwise) {
+  // Two layers with the same seed: one runs the full backward, the other
+  // the parameters-only one.  dW and db must be the same bytes.
+  Rng rng_a(5), rng_b(5), rng(6);
+  nn::Linear full(37, 19, rng_a), params_only(37, 19, rng_b);
+  const Tensor x = Tensor::normal({23, 37}, rng);
+  const Tensor g = Tensor::normal({23, 19}, rng);
+  full.zero_grad();
+  params_only.zero_grad();
+  for (int step = 0; step < 2; ++step) {  // the second accumulates
+    (void)full.forward(x, true);
+    (void)full.backward(g);
+    (void)params_only.forward(x, true);
+    params_only.backward_params(g);
+  }
+  std::vector<nn::ParamSlot> want, got;
+  full.collect_params(want);
+  params_only.collect_params(got);
+  ASSERT_EQ(got.size(), 2u);
+  for (std::size_t p = 0; p < got.size(); ++p) {
+    ASSERT_EQ(got[p].grad->size(), want[p].grad->size());
+    EXPECT_EQ(std::memcmp(got[p].grad->data(), want[p].grad->data(),
+                          want[p].grad->bytes()),
+              0)
+        << want[p].name;
   }
 }
 
