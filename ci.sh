@@ -99,6 +99,20 @@ fi
 echo "== tier-1 tests =="
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
+echo "== storage-mode training smoke (SGC, chunk size 1) =="
+# train_pp end to end over the on-disk feature store: the hop files are
+# written, then every batch is read with one reader thread per hop file
+# straight into the batch.  At chunk size 1 nearly every row is its own
+# run, so the readers do the most syscalls per batch here.  Under the
+# asan-ubsan and tsan legs this checks the reader threads inside a real
+# training loop, not only in ctest.  A non-zero exit fails the leg.
+cat > build/ci_storage_train.json <<'JSON'
+{"dataset": "pokec", "scale": 0.25, "method": "SGC", "hops": 3,
+ "epochs": 2, "batch_size": 128, "lr": 0.01, "loading": "storage",
+ "chunk_size": 1, "seed": 1}
+JSON
+./build/train_cli build/ci_storage_train.json
+
 if [[ "${SERVE_AUTOSCALE}" == "1" ]]; then
   echo "== serve_cli autoscale smoke (staged ramp, 1..4 replicas) =="
   # The elastic-fleet smoke: a 6s staged load ramp against min=1..max=4

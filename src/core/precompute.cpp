@@ -60,6 +60,7 @@ Preprocessed precompute(const graph::CsrGraph& g, const Tensor& x,
   out.preprocess_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  out.operator_seconds = {out.preprocess_seconds};
   return out;
 }
 
@@ -73,6 +74,7 @@ Preprocessed precompute_multi(const graph::CsrGraph& g, const Tensor& x,
   for (const auto& cfg : configs) {
     Preprocessed one = precompute(g, x, cfg);
     out.preprocess_seconds += one.preprocess_seconds;
+    out.operator_seconds.push_back(one.preprocess_seconds);
     for (std::size_t r = 1; r < one.hop_features.size(); ++r) {
       out.hop_features.push_back(std::move(one.hop_features[r]));
     }

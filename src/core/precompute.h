@@ -37,6 +37,9 @@ struct Preprocessed {
   // hop_features[r] = B^r-propagated features, [n, F]; hop_features[0] = X.
   std::vector<Tensor> hop_features;
   double preprocess_seconds = 0;
+  // Wall time of each operator's propagation, in order; preprocess_seconds
+  // is their sum (one entry for precompute, K for precompute_multi).
+  std::vector<double> operator_seconds;
 
   std::size_t num_hops() const { return hop_features.size() - 1; }
   std::size_t num_nodes() const { return hop_features.front().rows(); }

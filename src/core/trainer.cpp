@@ -67,10 +67,6 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
     throw std::invalid_argument("train_pp: chunk_size == 0 in chunked mode");
   }
 
-  // Materialize the expanded training set once (hop-major rows); this is
-  // the array the loaders index into — position i corresponds to node
-  // train_idx[i].
-  const Tensor train_x = pre.expanded_rows(train_idx);
   std::vector<std::int32_t> train_y(train_idx.size());
   for (std::size_t i = 0; i < train_idx.size(); ++i) {
     train_y[i] = ds.labels[static_cast<std::size_t>(train_idx[i])];
@@ -81,7 +77,11 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
   const auto shuffler =
       loader::make_shuffler(chunked ? cfg.chunk_size : std::size_t{1});
 
-  // Storage mode: write per-hop training features to the file store.
+  // Host modes materialize the expanded training set once (hop-major rows);
+  // position i corresponds to node train_idx[i].  Storage mode instead
+  // writes the per-hop training rows to the file store, in the same
+  // positions, and keeps no RAM copy: its source only orders and labels.
+  Tensor train_x;
   std::unique_ptr<loader::FeatureFileStore> store;
   if (cfg.mode == LoadingMode::kStorageChunk) {
     std::vector<Tensor> hop_train;
@@ -91,9 +91,13 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
     }
     store = std::make_unique<loader::FeatureFileStore>(
         loader::FeatureFileStore::create(cfg.storage_dir, hop_train));
+  } else {
+    train_x = pre.expanded_rows(train_idx);
   }
-
-  loader::BatchSource source(&train_x, train_y.data(), cfg.batch_size);
+  loader::BatchSource source =
+      store ? loader::BatchSource(train_idx.size(), train_y.data(),
+                                  cfg.batch_size)
+            : loader::BatchSource(&train_x, train_y.data(), cfg.batch_size);
   Rng rng(cfg.seed);
   std::vector<nn::ParamSlot> params;
   model.collect_params(params);
@@ -124,32 +128,11 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
       case LoadingMode::kBaselinePerRow:
         return source.assemble_baseline(k);
       case LoadingMode::kStorageChunk: {
-        // Read the batch as contiguous runs from the file store (chunk
-        // reshuffling makes batches mostly contiguous on disk).
-        loader::MiniBatch mb;
-        const auto& order = source.epoch_order();
-        const std::size_t lo = k * cfg.batch_size;
-        const std::size_t hi =
-            std::min(lo + cfg.batch_size, order.size());
-        mb.indices.assign(order.begin() + lo, order.begin() + hi);
-        mb.features = Tensor({mb.indices.size(), store->row_bytes() / 4});
-        std::size_t i = 0;
-        while (i < mb.indices.size()) {
-          std::size_t run = 1;
-          while (i + run < mb.indices.size() &&
-                 mb.indices[i + run] == mb.indices[i + run - 1] + 1) {
-            ++run;
-          }
-          Tensor piece({run, store->row_bytes() / 4});
-          store->read_chunk(static_cast<std::size_t>(mb.indices[i]), run,
-                            piece);
-          std::memcpy(mb.features.row(i), piece.data(), piece.bytes());
-          i += run;
-        }
-        mb.labels.resize(mb.indices.size());
-        for (std::size_t j = 0; j < mb.indices.size(); ++j) {
-          mb.labels[j] = train_y[static_cast<std::size_t>(mb.indices[j])];
-        }
+        // Every hop file read concurrently, straight into the batch.
+        loader::MiniBatch mb = source.index_batch(k);
+        mb.features = Tensor({mb.indices.size(),
+                              store->num_hops() * store->hop_dim()});
+        store->read_batch(mb.indices, mb.features);
         return mb;
       }
       default:

@@ -75,6 +75,8 @@ BenchCalibration parse_bench_json(const std::string& json) {
       continue;
     }
     if (line.find("\"section\":\"cross_process\"") != std::string::npos) {
+      // A skipped section (no replica server built) measured nothing.
+      if (line.find("\"skipped\":true") != std::string::npos) continue;
       c.has_cross_process = true;
       c.xp_overhead_ratio = find_number(line, "overhead_ratio", 0);
       c.xp_frames_per_writev = find_number(line, "frames_per_writev", 0);

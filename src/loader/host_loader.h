@@ -24,13 +24,18 @@ struct MiniBatch {
 };
 
 // A training set view: row-major features (one row per training sample,
-// already preprocessed/expanded) plus labels.
+// already preprocessed/expanded) plus labels.  A source built from a sample
+// count alone has no features: it only orders the samples and labels the
+// batches, for a loader that reads features from elsewhere (the file
+// store in storage mode).
 class BatchSource {
  public:
   BatchSource(const Tensor* features, const std::int32_t* labels,
               std::size_t batch_size);
+  BatchSource(std::size_t num_samples, const std::int32_t* labels,
+              std::size_t batch_size);
 
-  std::size_t num_samples() const { return features_->rows(); }
+  std::size_t num_samples() const { return num_samples_; }
   std::size_t batch_size() const { return batch_size_; }
   std::size_t num_batches() const {
     return (num_samples() + batch_size_ - 1) / batch_size_;
@@ -40,15 +45,18 @@ class BatchSource {
   void set_epoch_order(std::vector<std::int64_t> order);
   const std::vector<std::int64_t>& epoch_order() const { return order_; }
 
-  // Row-at-a-time extraction (baseline loader).
+  // Indices and labels of a batch, features left empty.
+  MiniBatch index_batch(std::size_t batch_idx) const;
+  // Row-at-a-time extraction (baseline loader).  Needs features.
   MiniBatch assemble_baseline(std::size_t batch_idx) const;
-  // One fused gather (customized loader).
+  // One fused gather (customized loader).  Needs features.
   MiniBatch assemble_fused(std::size_t batch_idx) const;
 
  private:
-  std::vector<std::int64_t> batch_indices(std::size_t batch_idx) const;
+  const Tensor& features() const;
 
   const Tensor* features_;
+  std::size_t num_samples_;
   const std::int32_t* labels_;
   std::size_t batch_size_;
   std::vector<std::int64_t> order_;

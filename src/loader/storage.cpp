@@ -2,14 +2,17 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <system_error>
+#include <thread>
 
 #include "tensor/quant.h"
 
@@ -25,9 +28,40 @@ std::string hop_path(const std::string& dir, std::size_t hop) {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
-void pread_exact(int fd, void* buf, std::size_t count, off_t offset) {
+// Reads exactly the bytes the iovecs describe, starting at `offset`:
+// retries EINTR, resumes short reads mid-iovec, and fails loudly on EOF.
+// Counts every syscall it issues in `calls`.  Consumes (mutates) `iov`.
+void preadv_exact(int fd, iovec* iov, int n, off_t offset,
+                  std::atomic<std::uint64_t>& calls) {
+  while (n > 0) {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    const ssize_t r = ::preadv(fd, iov, n, offset);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("preadv");
+    }
+    if (r == 0) throw std::runtime_error("pread: unexpected EOF");
+    offset += r;
+    auto left = static_cast<std::size_t>(r);
+    while (n > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --n;
+    }
+    if (n > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
+  }
+}
+
+// The single-buffer case (serving's row reads, int8 runs), kept on plain
+// pread; same retry rules as preadv_exact.
+void pread_exact(int fd, void* buf, std::size_t count, off_t offset,
+                 std::atomic<std::uint64_t>& calls) {
   auto* p = static_cast<char*>(buf);
   while (count > 0) {
+    calls.fetch_add(1, std::memory_order_relaxed);
     const ssize_t r = ::pread(fd, p, count, offset);
     if (r < 0) {
       if (errno == EINTR) continue;
@@ -164,23 +198,55 @@ FeatureFileStore::~FeatureFileStore() {
   for (const int fd : fds_) ::close(fd);
 }
 
-void FeatureFileStore::read_hop_run(std::size_t h, std::size_t row0,
-                                    std::size_t count, float* dst) const {
+void FeatureFileStore::read_hop(std::size_t h, const std::vector<Run>& runs,
+                                Tensor& out) const {
   const std::size_t rec = hop_row_bytes();
-  preads_.fetch_add(1, std::memory_order_relaxed);
   if (codec_ == RowCodec::kFp32) {
-    pread_exact(fds_[h], dst, count * rec, static_cast<off_t>(row0 * rec));
+    // Scatter each run straight into the rows' hop-h slots: one iovec per
+    // row, merged where slots touch (a 1-hop store's rows are contiguous),
+    // at most IOV_MAX per syscall.
+    std::vector<iovec> iov;
+    for (const Run& run : runs) {
+      off_t offset = static_cast<off_t>(run.row0 * rec);
+      std::size_t pending = 0;  // bytes described by `iov`
+      for (std::size_t t = 0; t < run.count; ++t) {
+        char* slot =
+            reinterpret_cast<char*>(out.row(run.out0 + t) + h * dim_);
+        if (!iov.empty() &&
+            static_cast<char*>(iov.back().iov_base) + iov.back().iov_len ==
+                slot) {
+          iov.back().iov_len += rec;
+        } else {
+          if (iov.size() == static_cast<std::size_t>(IOV_MAX)) {
+            preadv_exact(fds_[h], iov.data(), static_cast<int>(iov.size()),
+                         offset, preads_);
+            offset += static_cast<off_t>(pending);
+            pending = 0;
+            iov.clear();
+          }
+          iov.push_back({slot, rec});
+        }
+        pending += rec;
+      }
+      preadv_exact(fds_[h], iov.data(), static_cast<int>(iov.size()), offset,
+                   preads_);
+      iov.clear();
+    }
     return;
   }
-  std::vector<char> buf(count * rec);
-  pread_exact(fds_[h], buf.data(), buf.size(),
-              static_cast<off_t>(row0 * rec));
-  for (std::size_t i = 0; i < count; ++i) {
-    const char* in = buf.data() + i * rec;
-    float scale = 0.f;
-    std::memcpy(&scale, in, sizeof(float));
-    dequantize_row_s8(reinterpret_cast<const std::int8_t*>(in + sizeof(float)),
-                      dim_, scale, dst + i * dim_);
+  std::vector<char> buf;
+  for (const Run& run : runs) {
+    buf.resize(run.count * rec);
+    pread_exact(fds_[h], buf.data(), buf.size(),
+                static_cast<off_t>(run.row0 * rec), preads_);
+    for (std::size_t t = 0; t < run.count; ++t) {
+      const char* in = buf.data() + t * rec;
+      float scale = 0.f;
+      std::memcpy(&scale, in, sizeof(float));
+      dequantize_row_s8(
+          reinterpret_cast<const std::int8_t*>(in + sizeof(float)), dim_,
+          scale, out.row(run.out0 + t) + h * dim_);
+    }
   }
 }
 
@@ -192,15 +258,49 @@ void FeatureFileStore::read_chunk(std::size_t row0, std::size_t count,
   if (out.rows() != count || out.cols() != hops_ * dim_) {
     throw std::invalid_argument("read_chunk: bad output shape");
   }
-  // One contiguous pread per hop file, then interleave into the per-row
-  // hop-major layout.
-  std::vector<float> buf(count * dim_);
-  for (std::size_t h = 0; h < hops_; ++h) {
-    read_hop_run(h, row0, count, buf.data());
-    for (std::size_t i = 0; i < count; ++i) {
-      std::memcpy(out.row(i) + h * dim_, buf.data() + i * dim_,
-                  dim_ * sizeof(float));
+  const std::vector<Run> run{{row0, count, 0}};
+  for (std::size_t h = 0; h < hops_; ++h) read_hop(h, run, out);
+}
+
+void FeatureFileStore::read_batch(const std::vector<std::int64_t>& ids,
+                                  Tensor& out) const {
+  if (out.rows() != ids.size() || out.cols() != hops_ * dim_) {
+    throw std::invalid_argument("read_batch: bad output shape");
+  }
+  std::vector<Run> runs;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] < 0 || static_cast<std::size_t>(ids[i]) >= rows_) {
+      throw std::out_of_range("read_batch: row out of bounds");
     }
+    const auto row = static_cast<std::size_t>(ids[i]);
+    if (!runs.empty() && runs.back().row0 + runs.back().count == row) {
+      ++runs.back().count;
+    } else {
+      runs.push_back({row, 1, i});
+    }
+  }
+  // One reader per hop file, capped at the core count; reader r reads hops
+  // r, r + readers, ...  The caller is reader 0.  Plain threads, not the
+  // global pool: the trainer's GEMM holds the pool while this runs on the
+  // prefetch thread, and a nested parallel_for would run serially.
+  const std::size_t readers = std::max<std::size_t>(
+      1, std::min<std::size_t>(hops_, std::thread::hardware_concurrency()));
+  std::vector<std::exception_ptr> errors(readers);
+  const auto reader = [&](std::size_t r) {
+    try {
+      for (std::size_t h = r; h < hops_; h += readers) read_hop(h, runs, out);
+    } catch (...) {
+      errors[r] = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> threads;  // joined on scope exit, throw or not
+    threads.reserve(readers - 1);
+    for (std::size_t r = 1; r < readers; ++r) threads.emplace_back(reader, r);
+    reader(0);
+  }
+  for (const auto& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
 }
 
@@ -237,9 +337,8 @@ void FeatureFileStore::read_rows_encoded(
     const std::size_t count = run_last - run_first + 1;
     buf.resize(count * rec);
     for (std::size_t h = 0; h < hops_; ++h) {
-      preads_.fetch_add(1, std::memory_order_relaxed);
       pread_exact(fds_[h], buf.data(), count * rec,
-                  static_cast<off_t>(run_first * rec));
+                  static_cast<off_t>(run_first * rec), preads_);
       for (std::size_t t = i; t <= j; ++t) {
         const auto r = static_cast<std::size_t>(rows[order[t]]);
         std::memcpy(out + order[t] * row_bytes() + h * rec,

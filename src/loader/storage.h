@@ -2,13 +2,23 @@
 //
 // Preprocessed hop features are written to one binary file per hop — the
 // paper splits hops into separate files to expose parallel storage streams.
-// Reading supports two access patterns whose performance gap is the whole
-// point of chunk reshuffling on storage:
-//   - read_chunk: contiguous row ranges, one pread per hop file;
-//   - read_rows: row-granular random access.  Row ids are sorted per call
-//     and adjacent/duplicate runs coalesce into one pread per run, so a
-//     hub-heavy serving micro-batch costs far fewer syscalls than one
-//     pread per row per hop (preads() counts the actual calls issued).
+// Three read paths:
+//   - read_batch (training): a batch's row ids in batch order.  Each
+//     ascending run of consecutive ids costs one preadv per hop file, and
+//     the hop files are read CONCURRENTLY — one reader thread per hop,
+//     capped at the core count, with the caller reading one hop itself.
+//     fp32 bytes land directly in each row's hop slot of the output (no
+//     staging buffer, no interleave copy).  With chunk size 1 a batch is
+//     thousands of single-row runs, so the loader is syscall-bound and the
+//     per-hop streams are what keeps it ahead of the model step;
+//   - read_chunk: one contiguous row range — the single-run case of
+//     read_batch's per-hop loop, read on the calling thread;
+//   - read_rows (serving): row-granular random access.  Row ids are sorted
+//     per call and adjacent/duplicate runs coalesce into one pread per run,
+//     so a hub-heavy serving micro-batch costs far fewer syscalls than one
+//     pread per row per hop.  It stays serial: in serving, each replica's
+//     dispatcher is the unit of parallelism.
+// preads() counts the syscalls actually issued.
 //
 // Two row codecs share the layout:
 //   - kFp32: dim floats per row per hop (exact);
@@ -68,6 +78,13 @@ class FeatureFileStore {
   // matching the in-memory expanded layout of core::Preprocessed.
   void read_chunk(std::size_t row0, std::size_t count, Tensor& out) const;
 
+  // Training batch read: out[i] = concatenated hops of row ids[i], with
+  // ids in batch order (unsorted; duplicates allowed).  One preadv per
+  // ascending run of consecutive ids per hop (split at IOV_MAX rows), the
+  // hop files read concurrently.  Every reader is joined before return;
+  // the first reader's exception (in reader order) is then rethrown here.
+  void read_batch(const std::vector<std::int64_t>& ids, Tensor& out) const;
+
   // Random row-granular access: out[i] = concatenated hops of rows[i].
   // Sorts the ids and issues one pread per run of adjacent/duplicate rows
   // per hop; results are independent of the coalescing (bit-identical to
@@ -86,8 +103,8 @@ class FeatureFileStore {
   // exactly as read_rows would.
   void decode_row(const std::uint8_t* enc, float* out) const;
 
-  // Cumulative pread syscalls issued by this store (all threads).  The
-  // serving bench reports the delta per micro-batch to show what run
+  // Cumulative pread/preadv syscalls issued by this store (all threads).
+  // The serving bench reports the delta per micro-batch to show what run
   // coalescing saves over the historical one-pread-per-row-per-hop.
   std::uint64_t preads() const {
     return preads_.load(std::memory_order_relaxed);
@@ -95,10 +112,15 @@ class FeatureFileStore {
 
  private:
   FeatureFileStore() = default;
-  // Decodes `count` stored rows starting at `row0` from hop `h` into
-  // consecutive fp32 rows of `dst` (stride dim_ floats), one pread.
-  void read_hop_run(std::size_t h, std::size_t row0, std::size_t count,
-                    float* dst) const;
+  // `count` consecutive stored rows from `row0`, bound for output rows
+  // out0, out0+1, ...
+  struct Run {
+    std::size_t row0, count, out0;
+  };
+  // Reads hop `h` of every run into its slot of the output rows, decoding
+  // int8 records to fp32.
+  void read_hop(std::size_t h, const std::vector<Run>& runs,
+                Tensor& out) const;
 
   std::string dir_;
   std::size_t rows_ = 0, hops_ = 0, dim_ = 0;

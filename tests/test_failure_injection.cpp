@@ -72,6 +72,22 @@ TEST(StorageFailures, TruncationDetectedAtOpenAndAtRead) {
   fs::remove_all(dir);
 }
 
+TEST(StorageFailures, TruncatedHopFileFailsOnAReaderThread) {
+  // read_batch reads hop 0 on the calling thread and the other hop files
+  // on reader threads.  A truncated hop_1 or hop_2 fails on a reader; the
+  // error must be rethrown to the caller after every reader has joined.
+  for (const char* victim : {"hop_1.bin", "hop_2.bin"}) {
+    const auto dir = temp_dir("truncated_reader");
+    auto store = loader::FeatureFileStore::create(dir, small_hops());
+    const auto path = (fs::path(dir) / victim).string();
+    fs::resize_file(path, fs::file_size(path) / 2);
+    Tensor out({3, 3 * 4});
+    EXPECT_THROW(store.read_batch({2, 12, 13}, out), std::runtime_error)
+        << victim;
+    fs::remove_all(dir);
+  }
+}
+
 TEST(StorageFailures, OutOfRangeChunkThrows) {
   const auto dir = temp_dir("oob_chunk");
   auto store = loader::FeatureFileStore::create(dir, small_hops());
@@ -177,6 +193,53 @@ TEST(TrainerFailures, StorageModeWithUnwritableDirThrows) {
   tc.mode = core::LoadingMode::kStorageChunk;
   tc.storage_dir = "/proc/ppgnn_unwritable";  // cannot create files here
   EXPECT_THROW(core::train_pp(model, pre, ds, tc), std::runtime_error);
+}
+
+// Truncates one hop file of a storage-mode run on the first training
+// forward, i.e. after train_pp has opened the store and while the prefetch
+// thread is still reading batches ahead.
+class TruncatingModel : public core::PpModel {
+ public:
+  TruncatingModel(core::PpModel& inner, std::string hop_file)
+      : inner_(inner), hop_file_(std::move(hop_file)) {}
+  Tensor forward(const Tensor& batch, bool train) override {
+    if (train && !done_) {
+      fs::resize_file(hop_file_, 0);
+      done_ = true;
+    }
+    return inner_.forward(batch, train);
+  }
+  void backward(const Tensor& g) override { inner_.backward(g); }
+  void collect_params(std::vector<nn::ParamSlot>& out) override {
+    inner_.collect_params(out);
+  }
+  std::string name() const override { return inner_.name(); }
+  std::size_t hops() const override { return inner_.hops(); }
+
+ private:
+  core::PpModel& inner_;
+  std::string hop_file_;
+  bool done_ = false;
+};
+
+TEST(TrainerFailures, StorageReaderErrorReachesTrainPp) {
+  const auto ds = graph::make_dataset(graph::DatasetName::kPokecSim, 0.05);
+  core::PrecomputeConfig pc;
+  pc.hops = 2;
+  const auto pre = core::precompute(ds.graph, ds.features, pc);
+  Rng rng(1);
+  core::Sgc sgc(ds.feature_dim(), 2, ds.num_classes, rng);
+  const auto dir = temp_dir("train_reader");
+  TruncatingModel model(sgc, (fs::path(dir) / "hop_1.bin").string());
+  core::PpTrainConfig tc;
+  tc.epochs = 2;
+  tc.batch_size = 16;
+  tc.chunk_size = 1;
+  tc.mode = core::LoadingMode::kStorageChunk;
+  tc.storage_dir = dir;
+  ASSERT_GT(ds.split.train.size(), 8 * tc.batch_size);
+  EXPECT_THROW(core::train_pp(model, pre, ds, tc), std::runtime_error);
+  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------- precompute ----

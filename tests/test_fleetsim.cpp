@@ -352,6 +352,28 @@ TEST(Calibrate, ParsesBenchRecordsAndStripsInitialSpawns) {
                std::runtime_error);
 }
 
+TEST(Calibrate, SkippedCrossProcessRecordMeasuresNothing) {
+  // A bench built without replica_server_cli marks section 7 skipped; its
+  // record must not calibrate the RPC model with zeros.
+  const std::string arm =
+      "  {\"section\":\"autoscale_trace\",\"fleet\":\"fixed-min(1)\","
+      "\"single_replica_rps\":1000,\"mean_batch\":16,\"answered_rps\":900}\n";
+  const std::string skipped =
+      "[\n"
+      "  {\"section\":\"cross_process\",\"replicas\":2,\"skipped\":true,"
+      "\"ok\":false,\"reason\":\"replica_server_cli not built\"}\n" +
+      arm + "]\n";
+  EXPECT_FALSE(parse_bench_json(skipped).has_cross_process);
+  const std::string measured =
+      "[\n"
+      "  {\"section\":\"cross_process\",\"replicas\":2,"
+      "\"overhead_ratio\":1.30,\"ok\":true,\"frames_per_writev\":3.5}\n" +
+      arm + "]\n";
+  const auto c = parse_bench_json(measured);
+  EXPECT_TRUE(c.has_cross_process);
+  EXPECT_DOUBLE_EQ(c.xp_overhead_ratio, 1.30);
+}
+
 TEST(ServiceModel, FromCostModelTracksTheKernelLadderArm) {
   // A machine whose INT8 GEMM runs on a faster ladder arm must model a
   // cheaper per-row forward — first-principles capacity plans follow the

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstring>
 #include <numeric>
 #include <unordered_set>
 
@@ -120,6 +122,24 @@ TEST_F(BatchSourceTest, BatchContentMatchesOrder) {
   EXPECT_TRUE(allclose(gather_rows(feats_, {102, 101}),
                        gather_rows(mb.features, {0, 1})));
   EXPECT_EQ(mb.labels[0], labels_[102]);
+}
+
+TEST_F(BatchSourceTest, CountOnlySourceOrdersAndLabelsLikeAFullOne) {
+  BatchSource full(&feats_, labels_.data(), 16);
+  BatchSource count_only(feats_.rows(), labels_.data(), 16);
+  Rng r1(7), r2(7);
+  full.set_epoch_order(RandomReshuffler().epoch_order(103, r1));
+  count_only.set_epoch_order(RandomReshuffler().epoch_order(103, r2));
+  ASSERT_EQ(count_only.num_batches(), full.num_batches());
+  for (std::size_t k = 0; k < full.num_batches(); ++k) {
+    const MiniBatch a = full.assemble_fused(k);
+    const MiniBatch b = count_only.index_batch(k);
+    EXPECT_EQ(a.indices, b.indices);
+    EXPECT_EQ(a.labels, b.labels);
+    EXPECT_TRUE(b.features.empty());
+  }
+  EXPECT_THROW(count_only.assemble_fused(0), std::logic_error);
+  EXPECT_THROW(count_only.assemble_baseline(0), std::logic_error);
 }
 
 TEST_F(BatchSourceTest, Validation) {
@@ -268,6 +288,89 @@ TEST_F(StorageTest, BoundsChecked) {
   Tensor rows({1, 18});
   EXPECT_THROW(store.read_rows({50}, rows), std::out_of_range);
   EXPECT_THROW(store.read_rows({-1}, rows), std::out_of_range);
+}
+
+// read_batch must return, row for row, exactly the bytes of a one-row
+// read_chunk — whatever the order, the runs, the hop count or the codec.
+void expect_batch_matches_rows(const FeatureFileStore& store,
+                               const std::vector<std::int64_t>& ids) {
+  const std::size_t width = store.num_hops() * store.hop_dim();
+  Tensor batch({ids.size(), width});
+  store.read_batch(ids, batch);
+  Tensor one({1, width});
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    store.read_chunk(static_cast<std::size_t>(ids[i]), 1, one);
+    ASSERT_EQ(std::memcmp(batch.row(i), one.data(), width * sizeof(float)), 0)
+        << "batch position " << i << " (row " << ids[i] << ")";
+  }
+}
+
+// Row ids with ascending runs of consecutive ids, in no global order.
+const std::vector<std::int64_t> kRunIds{10, 11, 12, 3, 4, 40, 41,
+                                        42, 43, 0,  49, 7,  7};
+
+TEST_F(StorageTest, BatchReadOfShuffledIdsMatchesRowReads) {
+  const auto store = FeatureFileStore::create(dir_, hops_);
+  std::vector<std::int64_t> ids(50);
+  std::iota(ids.begin(), ids.end(), std::int64_t{0});
+  Rng rng(10);
+  rng.shuffle(ids);
+  expect_batch_matches_rows(store, ids);
+}
+
+TEST_F(StorageTest, BatchReadIssuesOnePreadvPerRunPerHop) {
+  const auto store = FeatureFileStore::create(dir_, hops_);
+  const std::uint64_t before = store.preads();
+  Tensor out({kRunIds.size(), 18});
+  store.read_batch(kRunIds, out);
+  // Runs: 10-12, 3-4, 40-43, 0, 49, 7, 7 (a repeat is its own run).
+  EXPECT_EQ(store.preads() - before, 7u * 3);
+  expect_batch_matches_rows(store, kRunIds);
+}
+
+TEST_F(StorageTest, BatchReadSplitsRunsLongerThanIovMax) {
+  Rng rng(11);
+  std::vector<Tensor> hops;
+  for (int h = 0; h < 3; ++h) hops.push_back(Tensor::normal({2600, 4}, rng));
+  const auto store = FeatureFileStore::create(dir_, hops);
+  std::vector<std::int64_t> ids(2500);
+  std::iota(ids.begin(), ids.end(), std::int64_t{50});
+  ASSERT_GT(ids.size(), static_cast<std::size_t>(IOV_MAX));
+  const std::uint64_t before = store.preads();
+  Tensor out({ids.size(), 12});
+  store.read_batch(ids, out);
+  const std::size_t per_hop = (ids.size() + IOV_MAX - 1) / IOV_MAX;
+  EXPECT_EQ(store.preads() - before, 3 * per_hop);
+  expect_batch_matches_rows(store, ids);
+}
+
+TEST_F(StorageTest, BatchReadOfOneHopStore) {
+  // One hop: a run's row slots touch, so each run is a single iovec.
+  const auto store = FeatureFileStore::create(dir_, {hops_[0]});
+  const std::uint64_t before = store.preads();
+  Tensor out({kRunIds.size(), 6});
+  store.read_batch(kRunIds, out);
+  EXPECT_EQ(store.preads() - before, 7u);
+  expect_batch_matches_rows(store, kRunIds);
+}
+
+TEST_F(StorageTest, BatchReadOfInt8StoreMatchesRowReads) {
+  const auto store = FeatureFileStore::create(dir_, hops_, RowCodec::kInt8);
+  expect_batch_matches_rows(store, kRunIds);
+  std::vector<std::int64_t> ids(50);
+  std::iota(ids.begin(), ids.end(), std::int64_t{0});
+  Rng rng(12);
+  rng.shuffle(ids);
+  expect_batch_matches_rows(store, ids);
+}
+
+TEST_F(StorageTest, BatchReadBoundsChecked) {
+  const auto store = FeatureFileStore::create(dir_, hops_);
+  Tensor out({2, 18});
+  EXPECT_THROW(store.read_batch({0, 50}, out), std::out_of_range);
+  EXPECT_THROW(store.read_batch({-1, 0}, out), std::out_of_range);
+  Tensor bad({2, 17});
+  EXPECT_THROW(store.read_batch({0, 1}, bad), std::invalid_argument);
 }
 
 TEST_F(StorageTest, CreateValidatesShapes) {

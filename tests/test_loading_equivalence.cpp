@@ -130,6 +130,14 @@ TEST_P(LoadingEquivalence, ChunkSizeOneEqualsSgdRr) {
   expect_identical(rr, cr1);
 }
 
+TEST_P(LoadingEquivalence, StorageChunkSizeOneEqualsSgdRr) {
+  // Storage reads at chunk size 1: every batch is almost all single-row
+  // runs, read concurrently per hop file — still SGD-RR, bit for bit.
+  const auto rr = run_mode(LoadingMode::kPrefetch);
+  const auto storage1 = run_mode(LoadingMode::kStorageChunk, /*chunk=*/1);
+  expect_identical(rr, storage1);
+}
+
 TEST_P(LoadingEquivalence, LogitsArePerRowIndependent) {
   Rng rng(9);
   auto model = build(GetParam(), dataset(), 2, rng);

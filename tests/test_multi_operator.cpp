@@ -78,10 +78,21 @@ TEST(MultiOperator, RejectsEmptyConfig) {
 }
 
 TEST(MultiOperator, PreprocessTimeAccumulates) {
+  // The multi-operator time is the sum of one timed propagation per
+  // operator — checked by construction, not by racing two wall clocks.
   const auto ds = graph::make_dataset(graph::DatasetName::kPokecSim, 0.05);
   const auto one = precompute(ds.graph, ds.features, {});
+  ASSERT_EQ(one.operator_seconds.size(), 1u);
+  EXPECT_EQ(one.operator_seconds[0], one.preprocess_seconds);
   const auto multi = precompute_multi(ds.graph, ds.features, three_kernels(3));
-  EXPECT_GT(multi.preprocess_seconds, one.preprocess_seconds);
+  ASSERT_EQ(multi.operator_seconds.size(), 3u);
+  double sum = 0;
+  for (const double s : multi.operator_seconds) {
+    EXPECT_GE(s, 0.0);
+    EXPECT_LE(s, multi.preprocess_seconds);
+    sum += s;
+  }
+  EXPECT_EQ(multi.preprocess_seconds, sum);
 }
 
 TEST(MultiOperator, ExpansionMatchesPaperFormula) {
